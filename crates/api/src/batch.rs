@@ -1,50 +1,23 @@
-//! Value-level helpers for fused ("vectorized") batch execution: stack a
-//! batch of same-shaped requests into the argument list of a
-//! [`Transform::Vmap`](crate::Transform::Vmap)-derived program, and split
-//! its results back per request.
+//! Value-level companions of the [`Transform::Vmap`](crate::Transform::Vmap)
+//! transform: stack a batch of same-shaped argument lists into the
+//! argument list of a vmapped program, and split its results back per
+//! example.
 //!
-//! Task-parallel batching (`CompiledFn::call_batch_results`) runs one
-//! program execution per request, paying the whole per-call dispatch
-//! (program setup, value boxing, SOAC scheduling) every time — fine when
-//! requests are large, dominant when they are tiny. The serving workloads
-//! of the source paper (GMM/k-means/LSTM objective and gradient
-//! evaluations) are exactly the tiny-request case, so this module builds
-//! the *batched program* instead: every parameter type is lifted by one
-//! array dimension, and the original function body becomes the lambda of
-//! a single outer `map`:
+//! `vmap` lifts every parameter and result type by one leading (batch)
+//! dimension:
 //!
 //! ```text
-//!   f       : (p_1: T_1, ..., p_k: T_k) -> (R_1, ..., R_m)
-//!   batched : ([B]T_1, ..., [B]T_k)     -> ([B]R_1, ..., [B]R_m)
-//!           = \xs_1 ... xs_k. map (\e_1 ... e_k. f-body) xs_1 ... xs_k
+//!   f      : (p_1: T_1, ..., p_k: T_k) -> (R_1, ..., R_m)
+//!   vmap f : ([B]T_1, ..., [B]T_k)     -> ([B]R_1, ..., [B]R_m)
 //! ```
 //!
-//! Because shapes in this IR are dynamic (types carry only rank), one
-//! batched program serves *every* batch size — it is compiled once and
-//! cached by structural fingerprint like any other program. Per-element
-//! arithmetic is the original body's, evaluated in the same order, so
-//! results match the unfused path bitwise.
-//!
-//! The transform is conservative: functions with no parameters or with
-//! accumulator parameters/results are rejected, and callers fall back to
-//! task-parallel batching whenever requests' shapes disagree or the
-//! batched program fails to compile or run.
+//! so a caller holding per-example values (a per-example-gradient stack
+//! `[Vjp, Vmap]`, a remote `"vmap"` request) needs exactly these two
+//! conversions around the call. Shapes in this IR are dynamic (types
+//! carry only rank), so one vmapped program serves every batch size.
 
-use fir::ir::Fun;
 use fir::types::Type;
 use interp::{Array, Value};
-
-use crate::error::FirError;
-
-/// Derive the batched program of `fun`: parameters and results lifted by
-/// one leading (batch) dimension, body wrapped in one outer `map`.
-#[deprecated(
-    note = "the outer-map lowering is the first-class `vmap` transform now: \
-            use `fir::lower::vmap`, `Transform::Vmap`, or `CompiledFn::vmap`"
-)]
-pub fn batched_fun(fun: &Fun) -> Result<Fun, FirError> {
-    fir::lower::vmap(fun).map_err(FirError::from)
-}
 
 /// Whether every request shares the arity, element types, and shapes of
 /// the first — the precondition for stacking.

@@ -679,8 +679,8 @@ impl Engine {
         persist: Option<Persist>,
     ) -> Result<CacheEntry, FirError> {
         // Hot path: the published snapshot answers without touching the
-        // cache mutex, so concurrent cache hits never contend — the
-        // property the sharded serving tier depends on.
+        // cache mutex, so concurrent cache hits (every serving-batch
+        // dispatch) never contend.
         if let Some(entry) = inner.lookup_published(&key) {
             inner.hits.fetch_add(1, Ordering::Relaxed);
             fir_trace::instant("cache", "hit");
@@ -1349,62 +1349,16 @@ impl CompiledFn {
         self.entry.exec.run_scalar(args).map_err(FirError::from)
     }
 
-    /// Execute one call per argument list, scheduling the calls on the
-    /// persistent worker pool. The per-call dispatch (and, on sequential
-    /// backends, the whole evaluation) runs concurrently, which amortizes
-    /// engine overhead across a batch of requests — the serving-path
-    /// counterpart of per-SOAC parallelism. Results are returned in batch
-    /// order; the first failing call's error is returned (every request
-    /// still runs — see [`CompiledFn::call_batch_results`] for the
-    /// per-request outcomes).
-    pub fn call_batch(&self, batch: &[Vec<Value>]) -> Result<Vec<Vec<Value>>, FirError> {
-        self.call_batch_results(batch).into_iter().collect()
-    }
-
-    /// [`CompiledFn::call_batch`] with per-request error isolation: one
-    /// malformed or failing request yields its own `Err` slot and does not
-    /// take down its batchmates. This is the execution primitive of the
-    /// `fir-serve` micro-batcher.
-    pub fn call_batch_results(&self, batch: &[Vec<Value>]) -> Vec<Result<Vec<Value>, FirError>> {
-        let exec = &self.entry.exec;
-        let plan = &self.entry.plan;
-        WorkerPool::global().run_tasks(batch.len(), &|i| {
-            let _arena = plan.as_ref().map(|p| arena::scope(p.slots));
-            exec.run(&batch[i]).map_err(FirError::from)
-        })
-    }
-
-    /// [`CompiledFn::call_batch_results`], but when every request shares
-    /// the same argument shapes the whole batch executes as *one* fused
-    /// program — the [`Transform::Vmap`] of this function, its body mapped
-    /// over a stacked batch dimension — which amortizes the entire
-    /// per-call dispatch instead of just the scheduling. Falls back to
-    /// task-parallel batching (preserving per-request error isolation)
-    /// whenever requests are malformed, shapes disagree, or the vmapped
-    /// program is unavailable or fails. Results are bitwise-identical to
-    /// [`CompiledFn::call`] either way.
-    pub fn call_batch_fused(&self, batch: &[Vec<Value>]) -> Vec<Result<Vec<Value>, FirError>> {
-        if batch.len() >= 2
-            && batch
-                .iter()
-                .all(|args| validate_args(self.name(), self.param_types(), args).is_ok())
-        {
-            if let Ok(fused) = self.vmap() {
-                if let Some(stacked) = crate::batch::stack_args(batch) {
-                    if let Ok(outs) = fused.call(&stacked) {
-                        return crate::batch::unstack_results(
-                            &self.entry.fun.ret,
-                            &outs,
-                            batch.len(),
-                        )
-                        .into_iter()
-                        .map(Ok)
-                        .collect();
-                    }
-                }
-            }
-        }
-        self.call_batch_results(batch)
+    /// Execute one call per argument list, fanned over the persistent
+    /// worker pool: the batch runs as `batch.len()` independent
+    /// executions, so per-call dispatch (and, on sequential backends, the
+    /// whole evaluation) overlaps across cores. Results come back in
+    /// batch order with per-request error isolation — a malformed or
+    /// failing request yields its own `Err` slot and its batchmates still
+    /// run. This is the execution primitive of the `fir-serve`
+    /// micro-batcher.
+    pub fn call_batch(&self, batch: &[Vec<Value>]) -> Vec<Result<Vec<Value>, FirError>> {
+        WorkerPool::global().run_tasks(batch.len(), &|i| self.call(&batch[i]))
     }
 
     // -- derived transforms -------------------------------------------
@@ -1513,84 +1467,27 @@ impl CompiledFn {
         Ok(self.split_grad(out))
     }
 
-    /// [`CompiledFn::grad`] over a batch of argument lists, scheduled on
-    /// the worker pool like [`CompiledFn::call_batch`]. The first failing
-    /// request's error is returned; see
-    /// [`CompiledFn::grad_batch_results`] for per-request outcomes.
-    pub fn grad_batch(&self, batch: &[Vec<Value>]) -> Result<Vec<GradOutput>, FirError> {
-        self.grad_batch_results(batch)?.into_iter().collect()
-    }
-
-    /// [`CompiledFn::grad_batch`] with per-request error isolation: a
-    /// malformed request (bad arity/types, failed seed derivation) or a
-    /// runtime failure yields its own `Err` slot; its batchmates still run
-    /// and succeed. The outer `Err` is reserved for function-level
-    /// failures that would fail every request identically (the vjp
-    /// transform does not compile, or the function has no differentiable
-    /// result to seed).
-    pub fn grad_batch_results(
+    /// [`CompiledFn::grad`] over a batch of argument lists, one seeded vjp
+    /// execution per request fanned over the worker pool like
+    /// [`CompiledFn::call_batch`], with the same per-request error
+    /// isolation: a malformed request (bad arity/types, failed seed
+    /// derivation) or a runtime failure yields its own `Err` slot; its
+    /// batchmates still run and succeed. The outer `Err` is reserved for
+    /// function-level failures that would fail every request identically
+    /// (the vjp transform does not compile, or the function has no
+    /// differentiable result to seed).
+    pub fn grad_batch(
         &self,
         batch: &[Vec<Value>],
     ) -> Result<Vec<Result<GradOutput, FirError>>, FirError> {
         let handle = self.vjp()?;
         let full = self.grad_full_args(batch)?;
-        Ok(self.grad_run_full(&handle, &full))
-    }
-
-    /// Run already-seeded vjp argument lists task-parallel on the pool,
-    /// preserving per-request slots.
-    fn grad_run_full(
-        &self,
-        handle: &CompiledFn,
-        full: &[Result<Vec<Value>, FirError>],
-    ) -> Vec<Result<GradOutput, FirError>> {
-        let exec = &handle.entry.exec;
-        let plan = &handle.entry.plan;
-        WorkerPool::global().run_tasks(full.len(), &|i| match &full[i] {
-            Err(e) => Err(e.clone()),
-            Ok(args) => {
-                let _arena = plan.as_ref().map(|p| arena::scope(p.slots));
-                exec.run(args)
-                    .map_err(FirError::from)
-                    .map(|out| self.split_grad(out))
-            }
-        })
-    }
-
-    /// [`CompiledFn::grad_batch_results`] with fused execution: when every
-    /// request is well-formed and shares the same shapes, the whole batch
-    /// of seeded vjp calls runs as one `vmap(vjp(f))` program (the
-    /// transform stack `[Vjp, Vmap]`, compiled once and cached). Falls
-    /// back to the task-parallel per-request path otherwise; results are
-    /// bitwise-identical to [`CompiledFn::grad`] either way.
-    pub fn grad_batch_fused(
-        &self,
-        batch: &[Vec<Value>],
-    ) -> Result<Vec<Result<GradOutput, FirError>>, FirError> {
-        let handle = self.vjp()?;
-        let full = self.grad_full_args(batch)?;
-        if batch.len() >= 2 && full.iter().all(|r| r.is_ok()) {
-            let fulls: Vec<&Vec<Value>> =
-                full.iter().map(|r| r.as_ref().expect("all ok")).collect();
-            if let Ok(fused) = handle.vmap() {
-                if let Some(stacked) = crate::batch::stack_args(&fulls) {
-                    if let Ok(outs) = fused.call(&stacked) {
-                        return Ok(crate::batch::unstack_results(
-                            &handle.entry.fun.ret,
-                            &outs,
-                            batch.len(),
-                        )
-                        .into_iter()
-                        .map(|out| Ok(self.split_grad(out)))
-                        .collect());
-                    }
-                }
-            }
-        }
-        // Fall back to the task-parallel path, reusing the seeded args
-        // (for array-valued results, seeding ran the primal once per
-        // request — never recompute it).
-        Ok(self.grad_run_full(&handle, &full))
+        Ok(
+            WorkerPool::global().run_tasks(full.len(), &|i| match &full[i] {
+                Err(e) => Err(e.clone()),
+                Ok(args) => handle.call(args).map(|out| self.split_grad(out)),
+            }),
+        )
     }
 
     /// The seeded vjp argument list of every request: original args plus
@@ -1848,52 +1745,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_batches_match_per_call_results_bitwise() {
-        let engine = Engine::by_name("vm-seq").unwrap();
-        let f = engine.compile(&dot()).unwrap();
-        // Same shapes across the batch: the fused path must engage and
-        // agree with per-call execution bitwise.
-        let batch: Vec<Vec<Value>> = (0..9)
-            .map(|i| {
-                vec![
-                    Value::from(vec![i as f64 + 0.25, 1.5, -2.0]),
-                    Value::from(vec![2.0, 3.0, 0.125]),
-                ]
-            })
-            .collect();
-        let fused = f.call_batch_fused(&batch);
-        for (args, out) in batch.iter().zip(&fused) {
-            let single = f.call(args).unwrap();
-            assert_eq!(
-                single[0].as_f64().to_bits(),
-                out.as_ref().unwrap()[0].as_f64().to_bits()
-            );
-        }
-        let grads = f.grad_batch_fused(&batch).unwrap();
-        for (args, g) in batch.iter().zip(&grads) {
-            let single = f.grad(args).unwrap();
-            let g = g.as_ref().unwrap();
-            assert_eq!(single.scalar().to_bits(), g.scalar().to_bits());
-            assert_eq!(single.flat_grads(), g.flat_grads());
-        }
-        // Mixed shapes: the fused path falls back, results still correct.
-        let ragged = vec![
-            vec![Value::from(vec![1.0, 2.0]), Value::from(vec![3.0, 4.0])],
-            vec![
-                Value::from(vec![1.0, 2.0, 3.0]),
-                Value::from(vec![4.0, 5.0, 6.0]),
-            ],
-        ];
-        let outs = f.call_batch_fused(&ragged);
-        assert_eq!(outs[0].as_ref().unwrap()[0].as_f64(), 11.0);
-        assert_eq!(outs[1].as_ref().unwrap()[0].as_f64(), 32.0);
-        // A malformed request stays isolated on the fallback path.
-        let with_bad = vec![dot_args(), vec![Value::F64(0.0)], dot_args()];
-        let outs = f.call_batch_fused(&with_bad);
-        assert!(outs[0].is_ok() && outs[1].is_err() && outs[2].is_ok());
-    }
-
-    #[test]
     fn transform_stacks_compile_once_per_distinct_stack() {
         let engine = Engine::by_name("vm-seq").unwrap();
         let f = engine.compile(&dot()).unwrap();
@@ -2015,8 +1866,9 @@ mod tests {
                 ]
             })
             .collect();
-        let batched = f.call_batch(&batch).unwrap();
+        let batched = f.call_batch(&batch);
         for (args, out) in batch.iter().zip(&batched) {
+            let out = out.as_ref().unwrap();
             assert_eq!(out[0].as_f64(), f.call(args).unwrap()[0].as_f64());
         }
     }
@@ -2109,12 +1961,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_isolate_the_failing_request() {
+    fn batches_isolate_the_failing_request() {
         let engine = Engine::new();
         let f = engine.compile(&dot()).unwrap();
         let good = dot_args();
         let bad = vec![Value::F64(1.0)];
-        let out = f.call_batch_results(&[good.clone(), bad.clone(), good.clone()]);
+        let out = f.call_batch(&[good.clone(), bad.clone(), good.clone()]);
         assert_eq!(out[0].as_ref().unwrap()[0].as_f64(), 32.0);
         assert!(matches!(
             out[1],
@@ -2122,18 +1974,13 @@ mod tests {
         ));
         assert_eq!(out[2].as_ref().unwrap()[0].as_f64(), 32.0);
 
-        let grads = f
-            .grad_batch_results(&[good.clone(), bad, good.clone()])
-            .unwrap();
+        let grads = f.grad_batch(&[good.clone(), bad, good.clone()]).unwrap();
         assert_eq!(grads[0].as_ref().unwrap().scalar(), 32.0);
         assert!(grads[1].is_err());
         assert_eq!(
             grads[2].as_ref().unwrap().grads[0].as_arr().f64s(),
             &[4.0, 5.0, 6.0]
         );
-        // The whole-batch wrappers still surface the first failure.
-        assert!(f.grad_batch(&[good.clone(), vec![]]).is_err());
-        assert_eq!(f.grad_batch(std::slice::from_ref(&good)).unwrap().len(), 1);
     }
 
     /// Arena counters are process-global; tests asserting on them

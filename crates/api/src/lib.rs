@@ -23,10 +23,8 @@
 //!   automatically, returning the typed [`GradOutput`] / [`Dual`] structs.
 //! * [`CompiledFn::call_batch`] / [`CompiledFn::grad_batch`] execute a
 //!   batch of independent requests concurrently on the persistent worker
-//!   pool; [`CompiledFn::call_batch_fused`] /
-//!   [`CompiledFn::grad_batch_fused`] run same-shaped batches as *one*
-//!   `Vmap`-derived program — the building blocks for serving-scale
-//!   deployments.
+//!   pool, one `Result` per request — the building blocks for
+//!   serving-scale deployments.
 //!
 //! # Example
 //!

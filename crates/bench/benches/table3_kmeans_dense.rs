@@ -104,7 +104,7 @@ fn main() {
     );
 
     header(
-        "Table 3 serving: per-call gradients vs call_batch on the worker pool",
+        "Table 3 serving: per-call gradients vs grad_batch on the worker pool",
         &BATCH_COLS,
     );
     // A serving batch of independent clustering requests.

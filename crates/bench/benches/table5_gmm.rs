@@ -4,9 +4,8 @@
 //! overheads (gradient time / objective time), mirroring Tables 5b/5c.
 
 use ad_bench::{
-    compare_backends, compare_batch, compare_jit, compare_pipelines, compare_vmap_grad, engine,
-    header, ms, ratio, row, time_secs, Report, BACKEND_COLS, BATCH_COLS, JIT_COLS, PIPELINE_COLS,
-    VMAP_COLS,
+    compare_backends, compare_batch, compare_jit, compare_pipelines, engine, header, ms, ratio,
+    row, time_secs, Report, BACKEND_COLS, BATCH_COLS, JIT_COLS, PIPELINE_COLS,
 };
 use interp::Value;
 use workloads::gmm;
@@ -120,7 +119,7 @@ fn main() {
     );
 
     header(
-        "Table 5 serving: per-call gradients vs call_batch on the worker pool",
+        "Table 5 serving: per-call gradients vs grad_batch on the worker pool",
         &BATCH_COLS,
     );
     // A serving batch of independent D3-sized requests: per-call dispatch
@@ -129,13 +128,5 @@ fn main() {
         .map(|i| gmm::GmmData::generate(500, 16, 10, 100 + i).ir_args())
         .collect();
     compare_batch(&mut report, "GMM D3 (500, 16, 10)", &fun, &batch, reps);
-
-    header(
-        "Table 5 per-example gradients: task-parallel grad_batch vs the vmap∘vjp stack",
-        &VMAP_COLS,
-    );
-    // The same serving batch, but the per-example gradients computed by
-    // the one fused vmap(vjp(f)) program (bitwise-identical results).
-    compare_vmap_grad(&mut report, "GMM D3 (500, 16, 10)", &fun, &batch, reps);
     report.write();
 }

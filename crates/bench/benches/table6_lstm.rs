@@ -5,8 +5,8 @@
 //! reported factors are printed for reference.
 
 use ad_bench::{
-    compare_backends, compare_jit, compare_pipelines, compare_vmap_grad, engine, header, ms, ratio,
-    row, time_secs, Report, BACKEND_COLS, JIT_COLS, PIPELINE_COLS, VMAP_COLS,
+    compare_backends, compare_jit, compare_pipelines, engine, header, ms, ratio, row, time_secs,
+    Report, BACKEND_COLS, JIT_COLS, PIPELINE_COLS,
 };
 use workloads::lstm;
 
@@ -109,25 +109,6 @@ fn main() {
         "LSTM D1 (16, 20, 12, 16)",
         &lstm::objective_ir(big.h, big.bs),
         &big.ir_args(),
-        reps,
-    );
-
-    header(
-        "Table 6 per-example gradients: task-parallel grad_batch vs the vmap∘vjp stack",
-        &VMAP_COLS,
-    );
-    // A serving batch of independent D0-sized instances (same shapes, so
-    // the stacked vmap(vjp(f)) path engages): per-example gradients by
-    // one fused program vs one vjp execution per request.
-    let d0 = lstm::LstmData::generate(8, 24, 12, 16, 21);
-    let grad_batch: Vec<_> = (0..8)
-        .map(|i| lstm::LstmData::generate(8, 24, 12, 16, 100 + i).ir_args())
-        .collect();
-    compare_vmap_grad(
-        &mut report,
-        "LSTM D0 (16, 8, 24, 12)",
-        &lstm::objective_ir(d0.h, d0.bs),
-        &grad_batch,
         reps,
     );
     report.write();

@@ -9,34 +9,22 @@
 //! highest client-observed throughput over a window-size sweep whose
 //! client-side p99 stays under the deadline with zero errors.
 //!
-//! Three batching configurations answer "what does the adaptive
-//! controller buy":
+//! Two batching configurations price micro-batching over a socket:
 //!
 //! * **unbatched** — `max_batch_size = 1`, the per-request overhead
 //!   baseline;
 //! * **static**    — a fixed, competently-tuned policy (batch 32, wait
-//!   200µs): the best single setting for this workload on loopback,
-//!   so the adaptive comparison is against a real baseline rather
-//!   than a strawman (an earlier 2ms mid-guess inflated the ratio);
-//! * **adaptive**  — starts from the *same* static policy and retunes
-//!   per lane from live metrics (halving the wait on SLO pressure,
-//!   growing batches on backlog).
+//!   200µs): the best single setting for this workload on loopback.
 //!
-//! Because the controller starts at the static configuration and only
-//! moves when a window shows evidence, adaptive is structurally ≥
-//! static up to measurement noise — CI asserts the recorded ratio.
-//!
-//! A second sweep compares **1 shard vs N shards** (static policy) to
-//! price the sharded router. On a single-core container both collapse
-//! onto the same core, so the ratio lands near 1.0 — the row records
-//! `available_parallelism` context like table7_serving does (see
-//! EXPERIMENTS.md's machine-dependence caveat).
+//! A cold-start pair then times spawn-to-`LISTENING` of the full
+//! nine-workload deployment from an empty vs a populated persistent
+//! compile cache.
 //!
 //! `NET_BENCH_SMOKE=1` shrinks the sweep for CI.
 
 use ad_bench::{header, ratio, row, Report};
 use fir_api::{Engine, Transform};
-use fir_net::{AdaptiveConfig, NetClient, NetServerBuilder};
+use fir_net::{NetClient, NetServerBuilder};
 use fir_serve::BatchPolicy;
 use interp::Value;
 use std::io::BufRead;
@@ -52,10 +40,6 @@ const CLIENTS: usize = 4;
 /// `NET_ROLE=server`: bind port 0, print the address, serve until a
 /// client sends the shutdown op.
 fn server_main() {
-    let shards: usize = std::env::var("NET_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let mode = std::env::var("NET_MODE").unwrap_or_else(|_| "static".to_string());
     let policy = match mode.as_str() {
         "unbatched" => BatchPolicy::unbatched(),
@@ -70,7 +54,6 @@ fn server_main() {
     }
     let engine = engine_builder.build().expect("backend");
     let mut builder = NetServerBuilder::new(engine)
-        .shards(shards)
         .handlers(CLIENTS + 2)
         .batch_policy(policy)
         .queue_capacity(8192);
@@ -96,16 +79,6 @@ fn server_main() {
     } else {
         builder = builder.register("gmm", &gmm::objective_ir()).warmup(&[&[]]);
     }
-    if mode == "adaptive" {
-        builder = builder.adaptive(AdaptiveConfig {
-            interval: Duration::from_millis(10),
-            min_batch: 1,
-            max_batch: 256,
-            min_wait: Duration::ZERO,
-            max_wait: Duration::from_millis(2),
-            slo: Duration::from_millis(5),
-        });
-    }
     let server = builder.bind("127.0.0.1:0").expect("bind");
     println!("LISTENING {}", server.local_addr());
     server.run_until_shutdown_requested();
@@ -113,20 +86,11 @@ fn server_main() {
 }
 
 /// Spawn the server child and return (child, addr).
-fn spawn_server(mode: &str, shards: usize) -> (std::process::Child, String) {
-    spawn_server_with(mode, shards, None)
-}
-
-fn spawn_server_with(
-    mode: &str,
-    shards: usize,
-    cache_dir: Option<&std::path::Path>,
-) -> (std::process::Child, String) {
+fn spawn_server(mode: &str, cache_dir: Option<&std::path::Path>) -> (std::process::Child, String) {
     let exe = std::env::current_exe().expect("current_exe");
     let mut cmd = std::process::Command::new(exe);
     cmd.env("NET_ROLE", "server")
         .env("NET_MODE", mode)
-        .env("NET_SHARDS", shards.to_string())
         .stdout(std::process::Stdio::piped());
     if let Some(dir) = cache_dir {
         cmd.env("NET_CACHE_DIR", dir);
@@ -255,14 +219,8 @@ fn max_sustainable(addr: &str, windows: &[usize], rounds: usize, slo_us: u64) ->
     best.or(fallback).expect("at least one window measured")
 }
 
-fn measure(
-    mode: &str,
-    shards: usize,
-    windows: &[usize],
-    rounds: usize,
-    slo_us: u64,
-) -> Sustainable {
-    let (mut child, addr) = spawn_server(mode, shards);
+fn measure(mode: &str, windows: &[usize], rounds: usize, slo_us: u64) -> Sustainable {
+    let (mut child, addr) = spawn_server(mode, None);
     let result = max_sustainable(&addr, windows, rounds, slo_us);
     NetClient::connect(&addr)
         .expect("connect for shutdown")
@@ -309,7 +267,7 @@ fn net_coldstart(report: &mut Report) {
     let mut secs = [0.0f64; 2];
     for (i, cfg) in ["cold compile", "warm cache-load"].into_iter().enumerate() {
         let t0 = Instant::now();
-        let (mut child, addr) = spawn_server_with("coldstart", 1, Some(&dir));
+        let (mut child, addr) = spawn_server("coldstart", Some(&dir));
         secs[i] = t0.elapsed().as_secs_f64();
         NetClient::connect(&addr)
             .expect("connect for shutdown")
@@ -389,52 +347,10 @@ fn main() {
     );
 
     // Batching configurations, one server process each.
-    let unbatched = measure("unbatched", 1, windows, rounds, slo_us);
+    let unbatched = measure("unbatched", windows, rounds, slo_us);
     report_cfg(&mut report, "unbatched", slo_us, &unbatched);
-    let static_ = measure("static", 1, windows, rounds, slo_us);
+    let static_ = measure("static", windows, rounds, slo_us);
     report_cfg(&mut report, "static", slo_us, &static_);
-    let adaptive = measure("adaptive", 1, windows, rounds, slo_us);
-    report_cfg(&mut report, "adaptive", slo_us, &adaptive);
-
-    let adaptive_vs_static = adaptive.qps / static_.qps;
-    row(&[
-        "adaptive/static".to_string(),
-        ratio(adaptive_vs_static),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
-    report.add(
-        "net:adaptive_vs_static",
-        &[
-            ("qps_ratio", adaptive_vs_static),
-            (
-                "both_sustainable",
-                f64::from(u8::from(adaptive.sustainable && static_.sustainable)),
-            ),
-        ],
-    );
-
-    // Shard scaling (static policy): 1 vs N serving shards.
-    let nshards = cores.clamp(2, 4);
-    let one = measure("static", 1, windows, rounds, slo_us);
-    report_cfg(&mut report, "shards-1", slo_us, &one);
-    let many = measure("static", nshards, windows, rounds, slo_us);
-    report_cfg(&mut report, &format!("shards-{nshards}"), slo_us, &many);
-    let shard_ratio = many.qps / one.qps;
-    row(&[
-        format!("{nshards} shards / 1 shard"),
-        ratio(shard_ratio),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
-    report.add(
-        "net:shard_ratio",
-        &[("qps_ratio", shard_ratio), ("shards", nshards as f64)],
-    );
 
     net_coldstart(&mut report);
 

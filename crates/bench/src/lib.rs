@@ -259,69 +259,6 @@ pub fn compare_batch(
 pub const BATCH_COLS: [&str; 4] = ["workload", "per-call grad", "batched grad", "batch speedup"];
 
 // ---------------------------------------------------------------------
-// Per-example gradients: task-parallel grad_batch vs the vmap∘vjp stack
-// ---------------------------------------------------------------------
-
-/// Print (and record) the per-example-gradient comparison for one
-/// workload: the gradients of every instance in `batch` computed by
-/// task-parallel `grad_batch` (one vjp execution per request, scheduled
-/// on the global worker pool — per-request parallelism scales with
-/// cores even on the `vm-seq` backend) vs. the fused `vmap(vjp(f))`
-/// transform stack (`grad_batch_fused`: the seeded vjp mapped over one
-/// stacked batch dimension — one sequential program execution for the
-/// whole batch, results bitwise-identical). On a single core the row
-/// isolates dispatch amortization; on N cores it trades the pool's
-/// task parallelism for the fused program's, so read `vmap_speedup`
-/// next to the recorded core count (see EXPERIMENTS.md). Returns the
-/// vmap speedup.
-pub fn compare_vmap_grad(
-    report: &mut Report,
-    label: &str,
-    fun: &Fun,
-    batch: &[Vec<Value>],
-    reps: usize,
-) -> f64 {
-    let cf = engine("vm-seq").compile(fun).expect("compile (vm-seq)");
-    let task_secs = time_secs(reps, || {
-        let _ = cf
-            .grad_batch(batch)
-            .expect("bench task-parallel grad_batch failed");
-    });
-    // The warm-up rep of time_secs derives and compiles the [Vjp, Vmap]
-    // stack; later reps are engine-cache hits.
-    let vmap_secs = time_secs(reps, || {
-        let _ = cf
-            .grad_batch_fused(batch)
-            .expect("bench vmap∘vjp gradient failed");
-    });
-    let speedup = task_secs / vmap_secs;
-    row(&[
-        format!("{label} (batch of {})", batch.len()),
-        ms(task_secs),
-        ms(vmap_secs),
-        ratio(speedup),
-    ]);
-    report.add(
-        &format!("vmap_grad:{label}"),
-        &[
-            ("batch_size", batch.len() as f64),
-            ("task_parallel_s", task_secs),
-            ("vmap_s", vmap_secs),
-            ("vmap_speedup", speedup),
-        ],
-    );
-    speedup
-}
-
-/// The column names matching [`compare_vmap_grad`] rows.
-pub const VMAP_COLS: [&str; 4] = [
-    "workload",
-    "task-parallel grad_batch",
-    "vmap∘vjp grad",
-    "vmap speedup",
-];
-
-// ---------------------------------------------------------------------
 // Optimizer impact (PassPipeline::standard vs PassPipeline::none)
 // ---------------------------------------------------------------------
 

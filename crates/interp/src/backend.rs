@@ -76,22 +76,6 @@ pub trait Backend: Send + Sync {
     /// sees a malformed program.
     fn prepare(&self, fun: &Fun) -> Result<Arc<dyn Executable>, ExecError>;
 
-    /// Run `fun` on `args`, panicking on any error.
-    #[deprecated(note = "use `prepare()` + `Executable::run`, or the `fir-api` Engine")]
-    fn run(&self, fun: &Fun, args: &[Value]) -> Vec<Value> {
-        self.prepare(fun)
-            .and_then(|exec| exec.run(args))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run a single-result scalar function, panicking on any error.
-    #[deprecated(note = "use `prepare()` + `Executable::run_scalar`, or the `fir-api` Engine")]
-    fn run_scalar(&self, fun: &Fun, args: &[Value]) -> f64 {
-        self.prepare(fun)
-            .and_then(|exec| exec.run_scalar(args))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The concrete backend value, for layers that can exploit a specific
     /// backend (see [`Executable::as_any`]).
     fn as_any(&self) -> &dyn std::any::Any;
@@ -237,12 +221,5 @@ mod tests {
             Err(e) => panic!("expected IllTyped, got {e:?}"),
             Ok(_) => panic!("ill-typed IR must not prepare"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)] // the blanket convenience stays until its last caller goes
-    fn blanket_convenience_methods_run_through_prepare() {
-        let backend: Box<dyn Backend> = Box::new(Interp::new());
-        assert_eq!(backend.run_scalar(&square(), &[Value::F64(3.0)]), 9.0);
     }
 }

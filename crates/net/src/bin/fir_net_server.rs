@@ -6,9 +6,6 @@
 //!
 //! * `FIR_NET_ADDR`     — listen address (default `127.0.0.1:7177`;
 //!   use port `0` to let the OS pick — the bound address is printed).
-//! * `FIR_NET_SHARDS`   — number of serving shards (default 2).
-//! * `FIR_NET_ADAPTIVE` — `0` disables the adaptive batching
-//!   controller (default on).
 //! * `FIR_NET_ENGINE`   — engine backend name (default `vm-seq`).
 //! * `FIR_CACHE_DIR`    — directory for the persistent compile cache
 //!   (default off). With it set, the warmup before the listener opens
@@ -25,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use fir_api::Engine;
-use fir_net::{AdaptiveConfig, NetServerBuilder, TenantConfig, TenantPolicy, Transform};
+use fir_net::{NetServerBuilder, TenantConfig, TenantPolicy, Transform};
 use fir_serve::BatchPolicy;
 use workloads::{adbench, gmm, kmeans, lstm, mc};
 
@@ -35,8 +32,6 @@ fn env_or(key: &str, default: &str) -> String {
 
 fn main() {
     let addr = env_or("FIR_NET_ADDR", "127.0.0.1:7177");
-    let shards: usize = env_or("FIR_NET_SHARDS", "2").parse().unwrap_or(2);
-    let adaptive = env_or("FIR_NET_ADAPTIVE", "1") != "0";
     let engine_name = env_or("FIR_NET_ENGINE", "vm-seq");
 
     let cache_dir = std::env::var("FIR_CACHE_DIR")
@@ -58,8 +53,7 @@ fn main() {
     let lstm_data = lstm::LstmData::generate(4, 3, 4, 2, 0);
     let dlstm_data = adbench::DlstmData::generate(8, 4, 4, 0);
     let t0 = Instant::now();
-    let mut builder = NetServerBuilder::new(engine)
-        .shards(shards)
+    let builder = NetServerBuilder::new(engine)
         .batch_policy(BatchPolicy {
             max_batch_size: 16,
             max_wait: Duration::from_millis(1),
@@ -108,9 +102,6 @@ fn main() {
                 },
             ),
         );
-    if adaptive {
-        builder = builder.adaptive(AdaptiveConfig::default());
-    }
     let server = match builder.bind(&addr) {
         Ok(s) => s,
         Err(e) => {
@@ -119,12 +110,7 @@ fn main() {
         }
     };
     println!("LISTENING {}", server.local_addr());
-    eprintln!(
-        "fir-net: {} shards, adaptive {}, warmed in {:?}",
-        shards,
-        if adaptive { "on" } else { "off" },
-        t0.elapsed()
-    );
+    eprintln!("fir-net: warmed in {:?}", t0.elapsed());
     if cache_dir.is_some() {
         if let Some(p) = server.metrics().cache.and_then(|c| c.persistent) {
             eprintln!(

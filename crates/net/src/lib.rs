@@ -1,6 +1,5 @@
 //! `fir-net` — the network-facing serving tier: a TCP wire protocol in
-//! front of sharded [`fir_serve`] runtimes, with adaptive batching and
-//! per-tenant fairness.
+//! front of one [`fir_serve`] runtime, with per-tenant fairness.
 //!
 //! The layers, bottom to top:
 //!
@@ -10,15 +9,12 @@
 //!   never panics. Zero dependencies: frames are parsed with the strict
 //!   [`fir_trace::json`] parser.
 //! * [`NetServer`] / [`NetServerBuilder`] — an accept loop and
-//!   connection-handler pool over N serving shards. Shards are
-//!   independent [`fir_serve::Server`]s (own dispatcher, own queues)
-//!   sharing one [`fir_api::Engine`], whose lock-free published cache
-//!   makes the shared compiled-program read path wait-free.
+//!   connection-handler pool over one [`fir_serve::Server`] (one
+//!   dispatcher, bounded per-function queues, a static
+//!   [`fir_serve::BatchPolicy`]).
 //! * [`tenant`] — token-bucket quotas plus weighted fair-sharing of
 //!   in-flight capacity; sheds are typed `overloaded` errors naming the
 //!   throttled tenant.
-//! * [`adaptive`] — a feedback controller retuning every lane's
-//!   `max_batch_size`/`max_wait` online from windowed live metrics.
 //! * [`NetClient`] — a blocking client with optional pipelining.
 //!
 //! # Example
@@ -51,14 +47,12 @@
 //! # Ok::<(), fir_net::NetError>(())
 //! ```
 
-pub mod adaptive;
 pub mod client;
 pub mod error;
 pub mod server;
 pub mod tenant;
 pub mod wire;
 
-pub use adaptive::{decide, AdaptiveConfig, Observation};
 pub use client::NetClient;
 pub use error::{FrameError, NetError, WireError};
 pub use fir_serve::Transform;

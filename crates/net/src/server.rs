@@ -1,25 +1,15 @@
-//! The network server: a TCP accept loop in front of N serving shards.
+//! The network server: a TCP accept loop in front of one serving runtime.
 //!
 //! ```text
-//!  clients (TCP)          fir-net                      fir-serve shards
-//!  ─────────────          ───────                      ────────────────
+//!  clients (TCP)          fir-net                      fir-serve
+//!  ─────────────          ───────                      ─────────
 //!  frame ──► accept loop ──► conn queue ──► handler threads
 //!                                             │ decode + tenant admit
-//!                                             │ round-robin router
 //!                                             ▼
-//!                                       shard 0 … shard N-1   ◄── adaptive
-//!                                        (own dispatcher,         controller
-//!                                         own queues, shared      (retunes lane
-//!                                         Engine + compiled-      policies from
-//!                                         program cache)          live metrics)
+//!                                       one `Server` (dispatcher, bounded
+//!                                        queues, static `BatchPolicy`,
+//!                                        Engine + compiled-program cache)
 //! ```
-//!
-//! **Shards** are independent [`fir_serve::Server`]s over *one shared*
-//! [`Engine`]: each has its own dispatcher thread and admission queues
-//! (so queue locks never cross shards), while compiled programs are
-//! found through the engine's lock-free published cache snapshots — a
-//! cache hit on any shard is a wait-free read, which is what makes
-//! sharing the engine cheaper than duplicating it.
 //!
 //! **Connections** are handled one thread per active connection (from a
 //! bounded handler pool), with *pipelining*: a client may stream many
@@ -27,13 +17,13 @@
 //! connection. Handlers poll the socket with a short read timeout so a
 //! stalled peer never wedges shutdown.
 //!
-//! **Admission** happens before a request touches a shard: the
+//! **Admission** happens before a request touches the server: the
 //! [`TenantGov`] spends a token and takes an in-flight fairness slot, or
 //! sheds with a typed `overloaded` error naming the tenant.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,7 +35,6 @@ use fir_serve::{
 };
 use interp::Value;
 
-use crate::adaptive::{decide, AdaptiveConfig, Observation};
 use crate::error::{NetError, WireError};
 use crate::tenant::{TenantGov, TenantPolicy};
 use crate::wire::{
@@ -62,39 +51,19 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Configures and starts a [`NetServer`].
 pub struct NetServerBuilder {
-    engine: Engine,
-    shards: usize,
+    server: ServerBuilder,
     handlers: usize,
-    default_policy: Option<BatchPolicy>,
-    queue_capacity: Option<usize>,
-    fns: Vec<(String, Fun, Option<BatchPolicy>)>,
-    warmup: Vec<Vec<Transform>>,
     tenant_policy: TenantPolicy,
-    adaptive: Option<AdaptiveConfig>,
 }
 
 impl NetServerBuilder {
-    /// A builder over `engine`. All shards share it — and its compiled-
-    /// program cache.
+    /// A builder over `engine`.
     pub fn new(engine: Engine) -> NetServerBuilder {
         NetServerBuilder {
-            engine,
-            shards: 1,
+            server: ServerBuilder::new(engine),
             handlers: 8,
-            default_policy: None,
-            queue_capacity: None,
-            fns: Vec::new(),
-            warmup: Vec::new(),
             tenant_policy: TenantPolicy::default(),
-            adaptive: None,
         }
-    }
-
-    /// Number of serving shards (engine replicas with independent
-    /// dispatchers and queues). Clamped to at least 1.
-    pub fn shards(mut self, n: usize) -> NetServerBuilder {
-        self.shards = n.max(1);
-        self
     }
 
     /// Number of connection-handler threads (bounds concurrently served
@@ -104,35 +73,35 @@ impl NetServerBuilder {
         self
     }
 
-    /// Default batching policy for every shard (see
-    /// [`ServerBuilder::batch_policy`]).
+    /// Default batching policy (see [`ServerBuilder::batch_policy`]).
     pub fn batch_policy(mut self, policy: BatchPolicy) -> NetServerBuilder {
-        self.default_policy = Some(policy);
+        self.server = self.server.batch_policy(policy);
         self
     }
 
-    /// Per-function admission queue bound on every shard.
+    /// Per-function admission queue bound (see
+    /// [`ServerBuilder::queue_capacity`]).
     pub fn queue_capacity(mut self, capacity: usize) -> NetServerBuilder {
-        self.queue_capacity = Some(capacity);
+        self.server = self.server.queue_capacity(capacity);
         self
     }
 
-    /// Register `fun` under `key` on every shard.
+    /// Register `fun` under `key`.
     pub fn register(mut self, key: &str, fun: &Fun) -> NetServerBuilder {
-        self.fns.push((key.to_string(), fun.clone(), None));
+        self.server = self.server.register(key, fun);
         self
     }
 
     /// Register with a function-specific batching policy.
     pub fn register_with(mut self, key: &str, fun: &Fun, policy: BatchPolicy) -> NetServerBuilder {
-        self.fns.push((key.to_string(), fun.clone(), Some(policy)));
+        self.server = self.server.register_with(key, fun, policy);
         self
     }
 
     /// Precompile these transform stacks for every function before the
     /// listener opens (see [`ServerBuilder::warmup`]).
     pub fn warmup(mut self, stacks: &[&[Transform]]) -> NetServerBuilder {
-        self.warmup.extend(stacks.iter().map(|s| s.to_vec()));
+        self.server = self.server.warmup(stacks);
         self
     }
 
@@ -142,41 +111,16 @@ impl NetServerBuilder {
         self
     }
 
-    /// Enable the adaptive batching controller.
-    pub fn adaptive(mut self, cfg: AdaptiveConfig) -> NetServerBuilder {
-        self.adaptive = Some(cfg);
-        self
-    }
-
-    /// Build the shards (compiling + warming every function), bind
-    /// `addr`, and start the accept loop, handler pool, and (if enabled)
-    /// the adaptive controller. Returns once the server is reachable.
+    /// Build the server (compiling + warming every function), bind
+    /// `addr`, and start the accept loop and handler pool. Returns once
+    /// the server is reachable.
     pub fn bind(self, addr: &str) -> Result<NetServer, NetError> {
-        let mut shards = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            let mut b = ServerBuilder::new(self.engine.clone());
-            if let Some(p) = self.default_policy {
-                b = b.batch_policy(p);
-            }
-            if let Some(c) = self.queue_capacity {
-                b = b.queue_capacity(c);
-            }
-            for (key, fun, policy) in &self.fns {
-                b = match policy {
-                    Some(p) => b.register_with(key, fun, *p),
-                    None => b.register(key, fun),
-                };
-            }
-            let stacks: Vec<&[Transform]> = self.warmup.iter().map(Vec::as_slice).collect();
-            b = b.warmup(&stacks);
-            shards.push(b.build()?);
-        }
+        let server = self.server.build()?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
-            shards,
-            router: AtomicUsize::new(0),
+            server,
             gov: TenantGov::new(self.tenant_policy, Instant::now()),
             stats: NetCounters::default(),
             shutdown: AtomicBool::new(false),
@@ -207,26 +151,11 @@ impl NetServerBuilder {
                     })?,
             );
         }
-        let adaptive = match self.adaptive {
-            Some(cfg) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("fir-net-adaptive".to_string())
-                        .spawn(move || adaptive_loop(&shared, cfg))
-                        .map_err(|e| NetError::Config {
-                            what: format!("could not spawn adaptive controller: {e}"),
-                        })?,
-                )
-            }
-            None => None,
-        };
         Ok(NetServer {
             shared,
             local_addr,
             accept: Mutex::new(Some(accept)),
             handlers: Mutex::new(handlers),
-            adaptive: Mutex::new(adaptive),
         })
     }
 }
@@ -243,12 +172,10 @@ struct NetCounters {
     frames_received: AtomicU64,
     frames_sent: AtomicU64,
     protocol_errors: AtomicU64,
-    adaptive_adjustments: AtomicU64,
 }
 
 struct Shared {
-    shards: Vec<Server>,
-    router: AtomicUsize,
+    server: Server,
     gov: TenantGov,
     stats: NetCounters,
     shutdown: AtomicBool,
@@ -271,59 +198,15 @@ impl Shared {
             frames_received: s.frames_received.load(Ordering::Relaxed),
             frames_sent: s.frames_sent.load(Ordering::Relaxed),
             protocol_errors: s.protocol_errors.load(Ordering::Relaxed),
-            adaptive_adjustments: s.adaptive_adjustments.load(Ordering::Relaxed),
             tenants: self.gov.snapshot(),
         }
     }
 
-    fn metrics(&self) -> MetricsSnapshot {
-        let snaps: Vec<MetricsSnapshot> = self.shards.iter().map(Server::metrics).collect();
-        let mut merged = merge_snapshots(snaps);
-        merged.net = Some(self.net_snapshot());
-        merged
+    /// `snap` with the network-layer counters attached.
+    fn with_net(&self, mut snap: MetricsSnapshot) -> MetricsSnapshot {
+        snap.net = Some(self.net_snapshot());
+        snap
     }
-}
-
-/// Merge per-shard snapshots into one server-wide view: counters and
-/// histograms add per function, the pool view is shared (one process,
-/// one worker pool).
-fn merge_snapshots(snaps: Vec<MetricsSnapshot>) -> MetricsSnapshot {
-    let mut iter = snaps.into_iter();
-    let mut merged = iter.next().expect("at least one shard");
-    for s in iter {
-        merged.uptime = merged.uptime.max(s.uptime);
-        // The arena counters are process-global (each shard snapshotted
-        // the same counters at a slightly different instant); keep the
-        // freshest view of each monotonic counter rather than summing.
-        merged.alloc.heap_allocs = merged.alloc.heap_allocs.max(s.alloc.heap_allocs);
-        merged.alloc.arena_hits = merged.alloc.arena_hits.max(s.alloc.arena_hits);
-        merged.alloc.pooled_bytes = merged.alloc.pooled_bytes.max(s.alloc.pooled_bytes);
-        merged.alloc.reserved_slots = merged.alloc.reserved_slots.max(s.alloc.reserved_slots);
-        // Every shard clones the same engine, so the compile-cache
-        // counters are one set of atomics snapshotted per shard — any
-        // one view suffices; don't sum them.
-        if merged.cache.is_none() {
-            merged.cache = s.cache;
-        }
-        for f in s.fns {
-            match merged.fns.iter_mut().find(|m| m.fn_key == f.fn_key) {
-                None => merged.fns.push(f),
-                Some(m) => {
-                    m.submitted += f.submitted;
-                    m.completed += f.completed;
-                    m.failed += f.failed;
-                    m.shed += f.shed;
-                    m.expired += f.expired;
-                    m.batches += f.batches;
-                    m.queue_depth += f.queue_depth;
-                    m.throughput_rps += f.throughput_rps;
-                    m.batch_sizes = m.batch_sizes.merge(&f.batch_sizes);
-                    m.latency_us = m.latency_us.merge(&f.latency_us);
-                }
-            }
-        }
-    }
-    merged
 }
 
 // ---------------------------------------------------------------------
@@ -336,7 +219,6 @@ pub struct NetServer {
     local_addr: SocketAddr,
     accept: Mutex<Option<std::thread::JoinHandle<()>>>,
     handlers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    adaptive: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl NetServer {
@@ -345,10 +227,9 @@ impl NetServer {
         self.local_addr
     }
 
-    /// A merged live metrics snapshot across all shards, with the
-    /// network-layer counters attached.
+    /// A live metrics snapshot, with the network-layer counters attached.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics()
+        self.shared.with_net(self.shared.server.metrics())
     }
 
     /// Block until some client sends the `shutdown` op (or the server is
@@ -362,13 +243,10 @@ impl NetServer {
     }
 
     /// Graceful shutdown: stop accepting, flush every connection's
-    /// pipeline, drain the shards, and return the final merged metrics.
+    /// pipeline, drain the server, and return the final metrics.
     pub fn shutdown(&self) -> MetricsSnapshot {
         self.stop_network();
-        let snaps: Vec<MetricsSnapshot> = self.shared.shards.iter().map(Server::shutdown).collect();
-        let mut merged = merge_snapshots(snaps);
-        merged.net = Some(self.shared.net_snapshot());
-        merged
+        self.shared.with_net(self.shared.server.shutdown())
     }
 
     /// Bounded shutdown: like [`NetServer::shutdown`], but queued work
@@ -377,19 +255,13 @@ impl NetServer {
     pub fn shutdown_within(&self, timeout: Duration) -> MetricsSnapshot {
         let deadline = Instant::now() + timeout;
         self.stop_network();
-        let snaps: Vec<MetricsSnapshot> = self
-            .shared
-            .shards
-            .iter()
-            .map(|s| s.shutdown_within(deadline.saturating_duration_since(Instant::now())))
-            .collect();
-        let mut merged = merge_snapshots(snaps);
-        merged.net = Some(self.shared.net_snapshot());
-        merged
+        let left = deadline.saturating_duration_since(Instant::now());
+        self.shared
+            .with_net(self.shared.server.shutdown_within(left))
     }
 
-    /// Stop the accept loop, handler pool, and adaptive controller.
-    /// Idempotent; shard shutdown is the caller's next step.
+    /// Stop the accept loop and handler pool. Idempotent; server
+    /// shutdown is the caller's next step.
     fn stop_network(&self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -404,9 +276,6 @@ impl NetServer {
         }
         self.shared.conns_cv.notify_all();
         for h in self.handlers.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.adaptive.lock().unwrap().take() {
             let _ = h.join();
         }
     }
@@ -495,9 +364,9 @@ fn handler_loop(shared: &Shared) {
 enum Outstanding {
     /// Already resolved (ops, sheds, malformed requests).
     Ready(u64, u64, WireResponse),
-    /// An in-flight `call` on a shard.
+    /// An in-flight `call` on the server.
     Call(u64, u64, String, Ticket<Vec<Value>>),
-    /// An in-flight `grad` on a shard.
+    /// An in-flight `grad` on the server.
     Grad(u64, u64, String, Ticket<GradOutput>),
 }
 
@@ -674,7 +543,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> Result<(), NetError> {
 }
 
 /// Decode one request payload and start it: ops answer immediately,
-/// `call`/`grad` pass tenant admission and land on a shard.
+/// `call`/`grad` pass tenant admission and are submitted to the server.
 fn dispatch(shared: &Shared, payload: &str) -> Outstanding {
     let (id, req) = decode_request(payload);
     let trace = fir_trace::next_id();
@@ -695,7 +564,7 @@ fn dispatch(shared: &Shared, payload: &str) -> Outstanding {
         WireRequest::Metrics => Outstanding::Ready(
             id,
             trace,
-            WireResponse::MetricsJson(shared.metrics().to_json()),
+            WireResponse::MetricsJson(shared.with_net(shared.server.metrics()).to_json()),
         ),
         WireRequest::Shutdown => {
             let mut requested = shared.shutdown_requested.lock().unwrap();
@@ -708,8 +577,7 @@ fn dispatch(shared: &Shared, payload: &str) -> Outstanding {
                 return Outstanding::Ready(id, trace, WireResponse::Error(e));
             }
             let tenant = c.tenant.clone();
-            let shard = route(shared);
-            match shard.submit(to_request(c)) {
+            match shared.server.submit(to_request(c)) {
                 Ok(ticket) => Outstanding::Call(id, trace, tenant, ticket),
                 Err(e) => {
                     shared.gov.release(&tenant);
@@ -722,8 +590,7 @@ fn dispatch(shared: &Shared, payload: &str) -> Outstanding {
                 return Outstanding::Ready(id, trace, WireResponse::Error(e));
             }
             let tenant = c.tenant.clone();
-            let shard = route(shared);
-            match shard.submit_grad(to_request(c)) {
+            match shared.server.submit_grad(to_request(c)) {
                 Ok(ticket) => Outstanding::Grad(id, trace, tenant, ticket),
                 Err(e) => {
                     shared.gov.release(&tenant);
@@ -734,69 +601,10 @@ fn dispatch(shared: &Shared, payload: &str) -> Outstanding {
     }
 }
 
-fn route(shared: &Shared) -> &Server {
-    let i = shared.router.fetch_add(1, Ordering::Relaxed);
-    &shared.shards[i % shared.shards.len()]
-}
-
 fn to_request(c: crate::wire::CallRequest) -> Request {
     let mut req = Request::new(c.fn_key, c.args).with_transforms(c.transforms);
     if let Some(ms) = c.deadline_ms {
         req = req.with_deadline(Duration::from_millis(ms));
     }
     req
-}
-
-// ---------------------------------------------------------------------
-// Adaptive controller
-// ---------------------------------------------------------------------
-
-fn adaptive_loop(shared: &Shared, cfg: AdaptiveConfig) {
-    // Last-seen cumulative metrics per function, for windowing.
-    let mut prev: HashMap<String, (u64, fir_serve::HistogramSnapshot)> = HashMap::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(cfg.interval);
-        let merged = merge_snapshots(shared.shards.iter().map(Server::metrics).collect());
-        for f in &merged.fns {
-            let window = match prev.get(&f.fn_key) {
-                Some((_, earlier)) => f.latency_us.since(earlier),
-                None => f.latency_us.clone(),
-            };
-            let prev_completed = prev.get(&f.fn_key).map_or(0, |(c, _)| *c);
-            let obs = Observation {
-                completed: f.completed.saturating_sub(prev_completed),
-                p99_us: window.quantile(0.99),
-                queue_depth: f.queue_depth,
-            };
-            prev.insert(f.fn_key.clone(), (f.completed, f.latency_us.clone()));
-
-            let Ok(cur) = shared.shards[0].policy(&f.fn_key) else {
-                continue;
-            };
-            let next = decide(cur, &obs, &cfg);
-            if next == cur {
-                continue;
-            }
-            shared
-                .stats
-                .adaptive_adjustments
-                .fetch_add(1, Ordering::Relaxed);
-            fir_trace::counter("net", "adaptive_batch", next.max_batch_size as u64);
-            fir_trace::counter(
-                "net",
-                "adaptive_wait_us",
-                u64::try_from(next.max_wait.as_micros()).unwrap_or(u64::MAX),
-            );
-            for shard in &shared.shards {
-                let _ = shard.set_policy(&f.fn_key, next);
-                // Lanes that already materialized their own slot track
-                // the retuned policy explicitly.
-                if let Ok(lanes) = shard.lanes(&f.fn_key) {
-                    for (kind, stack) in lanes {
-                        let _ = shard.set_lane_policy(&f.fn_key, kind, &stack, next);
-                    }
-                }
-            }
-        }
-    }
 }

@@ -2,8 +2,8 @@
 //! fair-sharing of the server's in-flight capacity.
 //!
 //! Every `call`/`grad` request names a tenant (empty string: anonymous).
-//! Before the request reaches a serving shard, the [`TenantGov`] decides
-//! to **admit** or **shed** it:
+//! Before the request reaches the serving runtime, the [`TenantGov`]
+//! decides to **admit** or **shed** it:
 //!
 //! 1. **Token bucket** — tenant `t` accrues `rate_per_sec` tokens,
 //!    capped at `burst`; each admitted request spends one. An empty

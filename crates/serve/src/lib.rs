@@ -20,7 +20,7 @@
 //!    Ticket::wait ◄─────────┘ max_wait policy        ▼
 //!       ▲                                    pool::submit(batch)
 //!       │                                            │
-//!       └──── per-request Result ◄── call_batch_fused / grad_batch_fused
+//!       └──── per-request Result ◄── call_batch / grad_batch
 //!                                     (one bad request ≠ failed batch)
 //! ```
 //!
@@ -84,5 +84,5 @@ pub use fir_api::Transform;
 pub use metrics::{
     FnMetricsSnapshot, HistogramSnapshot, MetricsSnapshot, NetStatsSnapshot, TenantCountersSnapshot,
 };
-pub use server::{BatchPolicy, Request, RequestKind, Server, ServerBuilder};
+pub use server::{BatchPolicy, Request, Server, ServerBuilder};
 pub use ticket::Ticket;

@@ -138,23 +138,8 @@ impl HistogramSnapshot {
             .collect()
     }
 
-    /// The histogram of only the values recorded *after* `earlier` was
-    /// taken (both snapshots of the same monotonically growing
-    /// histogram) — how a controller windows cumulative counters into a
-    /// recent-interval view. `max` is carried from `self` (the underlying
-    /// histogram only tracks the all-time max), so windowed quantiles
-    /// stay conservative.
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-        }
-    }
-
-    /// Combine two snapshots bucketwise (e.g. the same function's
-    /// latency across engine shards).
+    /// Combine two snapshots bucketwise (e.g. several functions'
+    /// latencies into one distribution).
     pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i] + other.buckets[i]),
@@ -207,13 +192,17 @@ impl FnMetrics {
 pub struct FnMetricsSnapshot {
     /// The key the function was registered under.
     pub fn_key: String,
-    /// Requests admitted to the queue.
+    /// Requests that arrived for this function, admitted or refused.
+    /// Once the server is idle,
+    /// `submitted == completed + failed + expired + shed`.
     pub submitted: u64,
     /// Requests whose ticket resolved `Ok`.
     pub completed: u64,
     /// Requests whose ticket resolved `Err` at execution.
     pub failed: u64,
-    /// Requests shed at admission (queue full).
+    /// Requests refused without executing: queue full or server shut
+    /// down at admission, or still queued when a bounded shutdown's drain
+    /// budget ran out.
     pub shed: u64,
     /// Requests dropped at the batch cut because their deadline passed.
     pub expired: u64,
@@ -245,8 +234,6 @@ pub struct NetStatsSnapshot {
     pub frames_sent: u64,
     /// Frames or requests rejected with a protocol-level error.
     pub protocol_errors: u64,
-    /// Policy changes applied by the adaptive batching controller.
-    pub adaptive_adjustments: u64,
     /// One entry per tenant that has submitted at least one request.
     pub tenants: Vec<TenantCountersSnapshot>,
 }
@@ -376,7 +363,6 @@ impl MetricsSnapshot {
                 ("frames_received", net.frames_received),
                 ("frames_sent", net.frames_sent),
                 ("protocol_errors", net.protocol_errors),
-                ("adaptive_adjustments", net.adaptive_adjustments),
             ] {
                 out.push_str(&format!("\"{k}\": {v}, "));
             }
@@ -541,27 +527,18 @@ mod tests {
     }
 
     #[test]
-    fn histogram_windows_and_merges() {
-        let h = Histogram::default();
+    fn histogram_merge_sums_counts_and_keeps_the_max() {
+        let (a, b) = (Histogram::default(), Histogram::default());
         for v in [1u64, 10, 100] {
-            h.record(v);
+            a.record(v);
         }
-        let earlier = h.snapshot();
         for v in [1000u64, 1000, 1000] {
-            h.record(v);
+            b.record(v);
         }
-        let later = h.snapshot();
-        // The window holds only the post-`earlier` records.
-        let win = later.since(&earlier);
-        assert_eq!((win.count, win.sum), (3, 3000));
-        assert_eq!(win.quantile(0.5), 1024.min(win.max));
-        // since(self) is empty; merging the window back reproduces the
-        // cumulative snapshot's totals.
-        let empty = later.since(&later);
-        assert_eq!((empty.count, empty.sum), (0, 0));
-        assert_eq!(empty.quantile(0.99), 0);
-        let merged = earlier.merge(&win);
+        let merged = a.snapshot().merge(&b.snapshot());
         assert_eq!((merged.count, merged.sum, merged.max), (6, 3111, 1000));
+        assert_eq!(merged.quantile(0.5), 128);
+        assert_eq!(merged.quantile(0.99), 1000);
     }
 
     #[test]

@@ -18,20 +18,17 @@
 //!    (whichever comes first). Batches are homogeneous in request kind
 //!    (primal calls vs. gradients) and never cross functions.
 //! 3. **Execution.** The batch runs through
-//!    `CompiledFn::call_batch_fused` / `grad_batch_fused`: same-shaped
-//!    batches execute as one fused program (the body mapped over a
-//!    stacked batch dimension), everything else falls back to
-//!    pool-parallel per-request execution — and each request resolves
-//!    with its *own* result or error either way, so one malformed
-//!    request cannot fail its batchmates. Requests whose deadline passed
-//!    while queued are dropped at the cut with
-//!    [`ServeError::DeadlineExceeded`].
+//!    `CompiledFn::call_batch` / `grad_batch`: one independent execution
+//!    per request, fanned over the worker pool, and each request resolves
+//!    with its *own* result or error, so one malformed request cannot
+//!    fail its batchmates. Requests whose deadline passed while queued
+//!    are dropped at the cut with [`ServeError::DeadlineExceeded`].
 //! 4. **Shutdown.** [`Server::shutdown`] stops admission, drains every
 //!    queue through the normal batch path, waits for in-flight batches,
 //!    and returns the final metrics snapshot.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -74,50 +71,6 @@ impl BatchPolicy {
         BatchPolicy {
             max_batch_size: 1,
             max_wait: Duration::ZERO,
-        }
-    }
-}
-
-/// The two request kinds a server accepts. Together with the transform
-/// stack, the kind names a batching *lane* — the unit per-lane policy
-/// tuning ([`Server::set_lane_policy`]) operates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RequestKind {
-    /// Primal calls ([`Server::submit`]).
-    Call,
-    /// Reverse-mode gradients ([`Server::submit_grad`]).
-    Grad,
-}
-
-/// A batching policy whose knobs can be retuned while the server runs:
-/// writers (`set_policy` / an adaptive controller) store through the
-/// atomics, the dispatcher reads them lock-free at every cut.
-struct DynPolicy {
-    max_batch: AtomicUsize,
-    max_wait_ns: AtomicU64,
-}
-
-impl DynPolicy {
-    fn new(p: BatchPolicy) -> DynPolicy {
-        let d = DynPolicy {
-            max_batch: AtomicUsize::new(1),
-            max_wait_ns: AtomicU64::new(0),
-        };
-        d.set(p);
-        d
-    }
-
-    fn set(&self, p: BatchPolicy) {
-        self.max_batch
-            .store(p.max_batch_size.max(1), Ordering::Relaxed);
-        let ns = u64::try_from(p.max_wait.as_nanos()).unwrap_or(u64::MAX);
-        self.max_wait_ns.store(ns, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> BatchPolicy {
-        BatchPolicy {
-            max_batch_size: self.max_batch.load(Ordering::Relaxed),
-            max_wait: Duration::from_nanos(self.max_wait_ns.load(Ordering::Relaxed)),
         }
     }
 }
@@ -290,12 +243,13 @@ impl ServerBuilder {
                 let _ = cf.transform(stack);
             }
             index.insert(key.clone(), fns.len());
+            let mut policy = policy.unwrap_or(self.default_policy);
+            // A batch size of zero could never cut.
+            policy.max_batch_size = policy.max_batch_size.max(1);
             fns.push(FnEntry {
                 key,
                 cf,
-                policy: DynPolicy::new(policy.unwrap_or(self.default_policy)),
-                lanes: Mutex::new(Vec::new()),
-                seen_lanes: Mutex::new(Vec::new()),
+                policy,
                 capacity: self.queue_capacity,
                 metrics: FnMetrics::default(),
             });
@@ -336,64 +290,12 @@ impl ServerBuilder {
 // Server internals
 // ---------------------------------------------------------------------
 
-/// Identifies one batching lane: the request kind plus its transform
-/// stack.
-type LaneKey = (RequestKind, Vec<Transform>);
-
 struct FnEntry {
     key: String,
     cf: CompiledFn,
-    /// The function-level policy: the default for every lane without its
-    /// own override. Atomic so a live server can be retuned.
-    policy: DynPolicy,
-    /// Per-`(kind, stack)` policy overrides, installed by
-    /// [`Server::set_lane_policy`]. Lanes without an entry follow
-    /// `policy`.
-    lanes: Mutex<Vec<(LaneKey, Arc<DynPolicy>)>>,
-    /// Every `(kind, stack)` lane that has carried at least one request —
-    /// what an external policy controller enumerates to tune the server.
-    seen_lanes: Mutex<Vec<(RequestKind, Vec<Transform>)>>,
+    policy: BatchPolicy,
     capacity: usize,
     metrics: FnMetrics,
-}
-
-impl FnEntry {
-    /// The effective policy of one batching lane: its override if one is
-    /// installed, the function default otherwise.
-    fn policy_for(&self, kind: RequestKind, stack: &[Transform]) -> BatchPolicy {
-        let lanes = self.lanes.lock().unwrap();
-        for ((k, s), p) in lanes.iter() {
-            if *k == kind && s.as_slice() == stack {
-                return p.get();
-            }
-        }
-        self.policy.get()
-    }
-
-    /// The override slot of one lane, created on first use (seeded from
-    /// the current function default).
-    fn lane_slot(&self, kind: RequestKind, stack: &[Transform]) -> Arc<DynPolicy> {
-        let mut lanes = self.lanes.lock().unwrap();
-        for ((k, s), p) in lanes.iter() {
-            if *k == kind && s.as_slice() == stack {
-                return Arc::clone(p);
-            }
-        }
-        let p = Arc::new(DynPolicy::new(self.policy.get()));
-        lanes.push(((kind, stack.to_vec()), Arc::clone(&p)));
-        p
-    }
-
-    /// Record that a request rode lane `(kind, stack)`.
-    fn note_lane(&self, kind: RequestKind, stack: &[Transform]) {
-        let mut seen = self.seen_lanes.lock().unwrap();
-        if !seen
-            .iter()
-            .any(|(k, s)| *k == kind && s.as_slice() == stack)
-        {
-            seen.push((kind, stack.to_vec()));
-        }
-    }
 }
 
 /// A queued request: its payload/ticket, plus the timing the batcher and
@@ -406,6 +308,15 @@ struct Pending {
     /// opened at admission, closed at ticket fulfillment, so one Perfetto
     /// track shows the request's whole life across threads.
     trace_id: u64,
+}
+
+/// The two request kinds a server accepts: primal calls
+/// ([`Server::submit`]) and reverse-mode gradients
+/// ([`Server::submit_grad`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RequestKind {
+    Call,
+    Grad,
 }
 
 /// The two request kinds, each carrying the transform stack it targets.
@@ -548,58 +459,6 @@ impl Server {
         }
     }
 
-    /// The function-level batching policy currently in effect for
-    /// `fn_key` (the default of every lane without its own override).
-    pub fn policy(&self, fn_key: &str) -> Result<BatchPolicy, ServeError> {
-        Ok(self.inner.fns[self.resolve(fn_key)?].policy.get())
-    }
-
-    /// Replace `fn_key`'s function-level policy while the server runs.
-    /// Lanes with explicit overrides ([`Server::set_lane_policy`]) keep
-    /// them. Takes effect at the next batch cut.
-    pub fn set_policy(&self, fn_key: &str, policy: BatchPolicy) -> Result<(), ServeError> {
-        let idx = self.resolve(fn_key)?;
-        self.inner.fns[idx].policy.set(policy);
-        // The dispatcher may be asleep on a timer armed under the old
-        // max_wait; wake it so the new policy applies promptly.
-        self.inner.work_cv.notify_all();
-        Ok(())
-    }
-
-    /// The effective policy of one `(kind, transform-stack)` lane.
-    pub fn lane_policy(
-        &self,
-        fn_key: &str,
-        kind: RequestKind,
-        stack: &[Transform],
-    ) -> Result<BatchPolicy, ServeError> {
-        Ok(self.inner.fns[self.resolve(fn_key)?].policy_for(kind, stack))
-    }
-
-    /// Install (or retune) a policy override for one
-    /// `(kind, transform-stack)` lane of `fn_key`, leaving the function
-    /// default and every other lane untouched.
-    pub fn set_lane_policy(
-        &self,
-        fn_key: &str,
-        kind: RequestKind,
-        stack: &[Transform],
-        policy: BatchPolicy,
-    ) -> Result<(), ServeError> {
-        let idx = self.resolve(fn_key)?;
-        self.inner.fns[idx].lane_slot(kind, stack).set(policy);
-        self.inner.work_cv.notify_all();
-        Ok(())
-    }
-
-    /// Every `(kind, transform-stack)` lane of `fn_key` that has carried
-    /// at least one request — what a policy controller enumerates to
-    /// retune a live server lane by lane.
-    pub fn lanes(&self, fn_key: &str) -> Result<Vec<(RequestKind, Vec<Transform>)>, ServeError> {
-        let idx = self.resolve(fn_key)?;
-        Ok(self.inner.fns[idx].seen_lanes.lock().unwrap().clone())
-    }
-
     /// Stop admitting requests, drain every queue through the normal
     /// batch path, wait for in-flight batches to resolve, and return the
     /// final metrics. Every ticket issued before shutdown resolves.
@@ -674,14 +533,14 @@ impl Server {
 
     fn enqueue(&self, idx: usize, job: Job, deadline: Option<Duration>) -> Result<(), ServeError> {
         let entry = &self.inner.fns[idx];
-        let max_batch = {
-            let (kind, stack) = job.kind();
-            entry.note_lane(kind, stack);
-            entry.policy_for(kind, stack).max_batch_size
-        };
+        // Every arrival counts as submitted, and every refusal below as
+        // shed, so `submitted == completed + failed + expired + shed`
+        // holds once the server is idle.
+        entry.metrics.submitted.inc();
         let now = Instant::now();
         let mut q = self.inner.queues.lock().unwrap();
         if q.shutdown {
+            entry.metrics.shed.inc();
             return Err(ServeError::ShuttingDown);
         }
         let queue = &mut q.qs[idx];
@@ -706,7 +565,6 @@ impl Server {
             trace_id,
         });
         let len = queue.len();
-        entry.metrics.submitted.inc();
         entry.metrics.queue_depth.set(len);
         drop(q);
         // Wake the dispatcher only on transitions it must see: the first
@@ -714,7 +572,7 @@ impl Server {
         // batch is ready to cut. Intermediate submissions ride the armed
         // timer — waking the dispatcher per request would burn a core's
         // worth of wakeups exactly when batching is supposed to save it.
-        if len == 1 || len >= max_batch {
+        if len == 1 || len >= entry.policy.max_batch_size {
             self.inner.work_cv.notify_all();
         }
         Ok(())
@@ -755,7 +613,7 @@ fn cut_batch(queue: &mut VecDeque<Pending>, max: usize) -> Vec<Pending> {
 /// Resolve every still-queued request with [`ServeError::ShuttingDown`]:
 /// the bounded-shutdown path for work that could not drain in time. Each
 /// shed request counts toward its function's `shed` metric, exactly like
-/// admission-time shedding.
+/// a refusal at admission.
 fn shed_all(inner: &Inner, q: &mut Queues) {
     for (idx, entry) in inner.fns.iter().enumerate() {
         let queue = &mut q.qs[idx];
@@ -790,12 +648,7 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
         for (idx, entry) in inner.fns.iter().enumerate() {
             let queue = &mut q.qs[idx];
             let Some(front) = queue.front() else { continue };
-            // Batching is governed by the policy of the lane at the queue
-            // front (cut_batch only coalesces that lane anyway).
-            let pol = {
-                let (kind, stack) = front.job.kind();
-                entry.policy_for(kind, stack)
-            };
+            let pol = entry.policy;
             let due = front.enqueued + pol.max_wait;
             if shutting || queue.len() >= pol.max_batch_size || due <= now {
                 let batch = cut_batch(queue, pol.max_batch_size);
@@ -969,10 +822,7 @@ fn run_calls(
     let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // The derived program compiles once per (key, stack) and is
         // answered from the engine cache on every later batch.
-        entry
-            .cf
-            .transform(stack)
-            .map(|cf| cf.call_batch_fused(argss))
+        entry.cf.transform(stack).map(|cf| cf.call_batch(argss))
     }));
     match results {
         Ok(Ok(results)) => {
@@ -1027,7 +877,7 @@ fn run_grads(
         entry
             .cf
             .transform(stack)
-            .and_then(|cf| cf.grad_batch_fused(argss))
+            .and_then(|cf| cf.grad_batch(argss))
     }));
     match results {
         Ok(Ok(results)) => {

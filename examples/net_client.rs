@@ -29,7 +29,6 @@ fn main() -> Result<(), NetError> {
         Some(addr) => addr.clone(),
         None => {
             let server = NetServerBuilder::new(Engine::by_name("vm-seq").map_err(to_net)?)
-                .shards(2)
                 .register("gmm", &gmm::objective_ir())
                 .register("kmeans-dense", &kmeans::dense_objective_ir())
                 // Precompile the plain and reverse-mode lanes before the

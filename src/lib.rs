@@ -46,7 +46,7 @@
 //! * [`fir_serve`] — the concurrent serving runtime (dynamic
 //!   micro-batching, admission control, live metrics) over an `Engine`,
 //! * [`fir_net`] — the network-facing tier over `fir_serve`: TCP wire
-//!   protocol, serving shards, adaptive batching, per-tenant fairness,
+//!   protocol, pipelined connections, per-tenant fairness,
 //! * [`fir_trace`] — structured tracing/profiling (Chrome trace export,
 //!   per-phase profile reports) recorded by every layer above,
 //! * [`tape_ad`] — the tape-based (Tapenade-like) baseline,
@@ -71,7 +71,5 @@ pub use fir_api::{
     CacheStats, CompiledFn, Dual, Engine, EngineBuilder, FirError, GradOutput, OptStats, Pass,
     PassPipeline, PersistentStats, PipelineStats, Transform, BACKEND_NAMES,
 };
-pub use fir_net::{
-    AdaptiveConfig, NetClient, NetError, NetServer, NetServerBuilder, TenantConfig, TenantPolicy,
-};
-pub use fir_serve::{BatchPolicy, Request, RequestKind, ServeError, Server, ServerBuilder, Ticket};
+pub use fir_net::{NetClient, NetError, NetServer, NetServerBuilder, TenantConfig, TenantPolicy};
+pub use fir_serve::{BatchPolicy, Request, ServeError, Server, ServerBuilder, Ticket};

@@ -3,7 +3,7 @@
 //! fingerprint cache — one compilation per distinct `(source fingerprint,
 //! transform stack)` — LRU eviction recompiles transparently while
 //! `Arc`-held handles stay valid, and the batch entry points
-//! (`call_batch`, `grad_batch`, `grad_batch_fused`, and the explicit
+//! (`call_batch`, `grad_batch`, and the explicit
 //! `vmap ∘ vjp` / `vjp ∘ vmap` stacks) agree bitwise with sequential
 //! per-example `call`/`grad` loops on all nine workloads, on both the
 //! interpreter and the VM.
@@ -140,17 +140,17 @@ fn changing_the_pipeline_clears_the_cache() {
 /// Per-example-gradient parity on one workload, on both backends: a
 /// batch of three distinct instances computed by (a) a sequential
 /// per-call `call`/`grad` loop, (b) task-parallel `call_batch` /
-/// `grad_batch`, (c) the fused `grad_batch_fused` (`vmap(vjp(f))` under
-/// the hood), and (d) the explicit transform stacks `[Vjp, Vmap]` and
+/// `grad_batch`, and (c) the explicit transform stacks `[Vjp, Vmap]` and
 /// `[Vmap, Vjp]` called on stacked seeded arguments — all bitwise
 /// identical.
 fn assert_batch_parity(name: &str, fun: &Fun, instances: Vec<Vec<Value>>) {
     for backend in ["interp-seq", "vm-seq"] {
         let engine = Engine::by_name(backend).unwrap();
         let cf = engine.compile(fun).unwrap();
-        let batched = cf.call_batch(&instances).unwrap();
+        let batched = cf.call_batch(&instances);
         assert_eq!(batched.len(), instances.len(), "{name}: batch arity");
         for (args, out) in instances.iter().zip(&batched) {
+            let out = out.as_ref().unwrap();
             let single = cf.call(args).unwrap();
             assert_eq!(single.len(), out.len(), "{name}: result arity");
             assert_eq!(
@@ -159,29 +159,24 @@ fn assert_batch_parity(name: &str, fun: &Fun, instances: Vec<Vec<Value>>) {
                 "{name} ({backend}): batched primal must be bitwise-identical to call()"
             );
         }
-        // Per-example gradients, four ways.
+        // Per-example gradients, three ways.
         let singles: Vec<_> = instances.iter().map(|a| cf.grad(a).unwrap()).collect();
         let grads = cf.grad_batch(&instances).unwrap();
-        let fused = cf.grad_batch_fused(&instances).unwrap();
         for (i, single) in singles.iter().enumerate() {
-            for (how, got) in [
-                ("grad_batch", &grads[i]),
-                ("grad_batch_fused", fused[i].as_ref().unwrap()),
-            ] {
+            let got = grads[i].as_ref().unwrap();
+            assert_eq!(
+                single.scalar().to_bits(),
+                got.scalar().to_bits(),
+                "{name} ({backend}): grad_batch vjp primal of example {i}"
+            );
+            let (a, b) = (single.flat_grads(), got.flat_grads());
+            assert_eq!(a.len(), b.len(), "{name} ({backend}): grad_batch arity");
+            for (j, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(
-                    single.scalar().to_bits(),
-                    got.scalar().to_bits(),
-                    "{name} ({backend}): {how} vjp primal of example {i}"
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{name} ({backend}): grad_batch grad[{j}] of example {i}"
                 );
-                let (a, b) = (single.flat_grads(), got.flat_grads());
-                assert_eq!(a.len(), b.len(), "{name} ({backend}): {how} arity");
-                for (j, (x, y)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{name} ({backend}): {how} grad[{j}] of example {i}"
-                    );
-                }
             }
         }
         // The explicit stacks: vmap(vjp(f)) and vjp(vmap(f)) take the
@@ -197,9 +192,9 @@ fn assert_batch_parity(name: &str, fun: &Fun, instances: Vec<Vec<Value>>) {
             })
             .collect();
         // Ragged batches (e.g. sparse k-means instances with different
-        // nnz) cannot stack; the fused paths above already verified the
-        // task-parallel fallback bitwise, so only the stackable
-        // workloads exercise the explicit transform stacks.
+        // nnz) cannot stack; `grad_batch` above already verified them
+        // bitwise, so only the stackable workloads exercise the explicit
+        // transform stacks.
         let Some(stacked) = fir_api::batch::stack_args(&seeded) else {
             continue;
         };
@@ -247,7 +242,7 @@ fn assert_batch_parity(name: &str, fun: &Fun, instances: Vec<Vec<Value>>) {
         // One compilation per distinct (fingerprint, stack): replaying
         // every path above must not add a single miss.
         let misses = engine.cache_stats().misses;
-        let _ = cf.grad_batch_fused(&instances).unwrap();
+        let _ = cf.grad_batch(&instances).unwrap();
         let _ = cf.transform(&[Transform::Vjp, Transform::Vmap]).unwrap();
         let _ = cf.transform(&[Transform::Vmap, Transform::Vjp]).unwrap();
         assert_eq!(

@@ -158,13 +158,16 @@ fn batch_calls_report_the_failing_request() {
     let cf = Engine::by_name("vm-seq").unwrap().compile(&dot()).unwrap();
     let good = vec![Value::from(vec![1.0, 2.0]), Value::from(vec![3.0, 4.0])];
     let bad = vec![Value::from(vec![1.0, 2.0])];
-    let out = cf.call_batch(&[good.clone(), bad, good]).unwrap_err();
+    let out = cf.call_batch(&[good.clone(), bad, good]);
+    assert_eq!(out.len(), 3);
+    assert_eq!(out[0].as_ref().unwrap()[0].as_f64(), 11.0);
     assert!(matches!(
-        out,
-        FirError::Exec(ExecError::Arity {
+        out[1],
+        Err(FirError::Exec(ExecError::Arity {
             expected: 2,
             got: 1,
             ..
-        })
+        }))
     ));
+    assert_eq!(out[2].as_ref().unwrap()[0].as_f64(), 11.0);
 }

@@ -1,7 +1,8 @@
 //! Concurrency stress tests of the `fir-serve` runtime: many client
 //! threads hammering two registered functions, per-request error
-//! isolation inside micro-batches, bounded-queue load-shedding, and a
-//! graceful shutdown that drains without deadlock.
+//! isolation inside micro-batches, bounded-queue load-shedding, a
+//! graceful shutdown that drains without deadlock, and counters that
+//! balance.
 
 use futhark_ad_repro::{BatchPolicy, Engine, Request, ServeError, ServerBuilder, Transform};
 use interp::Value;
@@ -321,56 +322,63 @@ fn bounded_shutdown_sheds_what_cannot_drain() {
 }
 
 #[test]
-fn live_policy_retuning_applies_per_lane() {
-    use futhark_ad_repro::RequestKind;
-    let server = two_fn_server(
-        BatchPolicy {
-            max_batch_size: 4,
-            max_wait: Duration::from_millis(5),
-        },
-        1024,
-    );
-    // Function-level retune is visible immediately...
-    let tuned = BatchPolicy {
-        max_batch_size: 16,
-        max_wait: Duration::from_millis(1),
+fn every_arrival_is_accounted_for_exactly_once() {
+    // One run that ends a request every way the server can: completed,
+    // failed, expired, shed at admission, shed by a bounded shutdown.
+    // GMM cuts at three queued requests; k-means (capacity 3, batch 64,
+    // 30s wait) parks whatever it admits until shutdown.
+    let park = BatchPolicy {
+        max_batch_size: 64,
+        max_wait: Duration::from_secs(30),
     };
-    server.set_policy(GMM, tuned).unwrap();
-    assert_eq!(server.policy(GMM).unwrap(), tuned);
-    // ...and lanes without overrides follow it.
-    assert_eq!(
-        server.lane_policy(GMM, RequestKind::Call, &[]).unwrap(),
-        tuned
-    );
-    // A per-lane override pins that lane only.
-    let vjp_lane = BatchPolicy {
-        max_batch_size: 2,
-        max_wait: Duration::ZERO,
-    };
-    server
-        .set_lane_policy(GMM, RequestKind::Call, &[Transform::Vjp], vjp_lane)
+    let server = ServerBuilder::new(Engine::by_name("vm-seq").unwrap())
+        .queue_capacity(3)
+        .register_with(
+            GMM,
+            &gmm::objective_ir(),
+            BatchPolicy {
+                max_batch_size: 3,
+                ..park
+            },
+        )
+        .register_with(KMEANS, &kmeans::dense_objective_ir(), park)
+        .build()
         .unwrap();
-    assert_eq!(
-        server
-            .lane_policy(GMM, RequestKind::Call, &[Transform::Vjp])
-            .unwrap(),
-        vjp_lane
-    );
-    assert_eq!(
-        server.lane_policy(GMM, RequestKind::Call, &[]).unwrap(),
-        tuned
-    );
-    // Requests still resolve correctly under the retuned policies, and
-    // the lanes they rode are enumerable for an external controller.
-    assert!(server.call(GMM, gmm_args(1)).is_ok());
-    assert!(server.grad(GMM, gmm_args(2)).is_ok());
-    let lanes = server.lanes(GMM).unwrap();
-    assert!(lanes.contains(&(RequestKind::Call, vec![])));
-    assert!(lanes.contains(&(RequestKind::Grad, vec![])));
-    // Unknown keys are typed errors, not panics.
+
+    let good = server.submit(Request::new(GMM, gmm_args(1))).unwrap();
+    let bad = server.submit(Request::new(GMM, vec![])).unwrap();
+    let late = server
+        .submit(Request::new(GMM, gmm_args(2)).with_deadline(Duration::ZERO))
+        .unwrap();
+    assert!(good.wait().is_ok());
+    assert!(matches!(bad.wait(), Err(ServeError::Exec(_))));
     assert!(matches!(
-        server.set_policy("nope", tuned),
-        Err(ServeError::UnknownFn { .. })
+        late.wait(),
+        Err(ServeError::DeadlineExceeded { .. })
     ));
-    server.shutdown();
+
+    let parked: Vec<_> = (0..3)
+        .map(|i| server.submit(Request::new(KMEANS, kmeans_args(i))).unwrap())
+        .collect();
+    assert!(matches!(
+        server.submit(Request::new(KMEANS, kmeans_args(3))),
+        Err(ServeError::Overloaded { .. })
+    ));
+    let m = server.shutdown_within(Duration::ZERO);
+    for t in parked {
+        assert!(matches!(t.wait(), Err(ServeError::ShuttingDown)));
+    }
+
+    let (g, k) = (&m.fns[0], &m.fns[1]);
+    assert_eq!((g.completed, g.failed, g.expired, g.shed), (1, 1, 1, 0));
+    assert_eq!((k.completed, k.failed, k.expired, k.shed), (0, 0, 0, 4));
+    for f in &m.fns {
+        assert_eq!(
+            f.submitted,
+            f.completed + f.failed + f.expired + f.shed,
+            "{}: every arrival ends in exactly one outcome",
+            f.fn_key
+        );
+        assert_eq!(f.queue_depth, 0, "{}: nothing left queued", f.fn_key);
+    }
 }
