@@ -11,11 +11,9 @@
 //! fallible end to end and batched calls amortize dispatch across the
 //! persistent worker pool.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use fir::ir::Fun;
 use fir::types::Type;
@@ -30,15 +28,11 @@ use crate::transform::Transform;
 /// A structural fingerprint (see [`firvm::fingerprint_pair`]).
 type Fingerprint = (u64, u64);
 
-/// The persistent-store identity of a compilation: the *root* source
-/// fingerprint plus the canonical transform-stack string (`""` for the
-/// root itself). `try_load` is cleared when the caller already consulted
-/// the store for this identity.
-struct Persist {
-    root: Fingerprint,
-    stack: String,
-    try_load: bool,
-}
+/// The identity of a program within an engine: the *root* source
+/// fingerprint plus the transform stack applied to it (empty for the root
+/// itself). It keys the alias index and — with the stack rendered by
+/// [`stack_key`] — the persistent store.
+type StackId = (Fingerprint, Vec<Transform>);
 
 /// The canonical transform-stack string of a persistent-store key:
 /// transform names in application order, comma-joined (`"vjp,vmap"`).
@@ -62,28 +56,11 @@ pub struct Engine {
 
 struct EngineInner {
     backend: Arc<dyn Backend>,
-    pipeline: Mutex<PassPipeline>,
-    cache: Mutex<LruCache>,
-    /// Monotonic recency tick shared by the locked cache and the
-    /// published snapshots: hits through either path bump the same
-    /// per-slot atomic, so LRU order stays coherent.
-    tick: AtomicU64,
-    /// The published read-mostly snapshot of the cache and the alias
-    /// index (see [`ViewCell`]): the lock-free hot read path.
-    view: ViewCell,
-    /// Derived-program index: `(root source fingerprint, transform
-    /// stack)` → the fingerprint of the derived function. Running a
-    /// transform (re-deriving a whole `vjp`, say) just to discover that
-    /// the result is already compiled would make every `grad` call pay
-    /// the derivation; this index answers the hot path with two hash
-    /// lookups instead. Entries are a few words each; aliases whose
-    /// target program is LRU-evicted are dropped with it (see
-    /// [`Engine::compile_entry`]), so the index stays proportional to
-    /// the live cache — a re-requested stack just re-derives and
-    /// re-aliases.
-    derived: Mutex<HashMap<(Fingerprint, Vec<Transform>), Fingerprint>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+    pipeline: PassPipeline,
+    /// All cache state behind one lock. Critical sections are map
+    /// operations only: typecheck, derivation, the pass pipeline,
+    /// `backend.prepare`, disk I/O and trace events all happen outside it.
+    cache: Mutex<Cache>,
     opt: Mutex<OptStats>,
     /// Counters of the backend's jit specialization tier, when the engine
     /// was built on a tiered backend (`vm-jit`/`vm-jit-seq`, or any named
@@ -97,6 +74,14 @@ struct EngineInner {
     /// counting as an engine hit *or* miss — `misses` keeps meaning
     /// "compilations actually performed".
     persistent: Option<Arc<fir_cache::Store>>,
+}
+
+impl EngineInner {
+    fn cache(&self) -> MutexGuard<'_, Cache> {
+        self.cache
+            .lock()
+            .expect("a thread panicked inside an engine-cache map operation")
+    }
 }
 
 /// One compiled function in the engine cache: the optimized IR and the
@@ -144,203 +129,116 @@ impl Drop for PlanInfo {
 /// [`EngineBuilder::cache_capacity`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-/// A bounded fingerprint → program cache with least-recently-used
-/// eviction. Recency is a monotonic use tick per slot; eviction scans for
-/// the minimum, which is O(entries) but only runs when the cache is full
-/// (and serving deployments keep the capacity small by design — a handful
-/// of registered programs plus their derived transforms).
-struct LruCache {
+/// The engine's cache state: a bounded fingerprint → program map with
+/// least-recently-used eviction, the alias index over it, and the counters
+/// [`Engine::cache_stats`] reports — one struct behind one lock, so every
+/// reading of it is consistent. Recency is a monotonic use tick per slot;
+/// eviction scans for the minimum, which is O(entries) but only runs when
+/// the cache is full (and serving deployments keep the capacity small by
+/// design — a handful of registered programs plus their derived
+/// transforms).
+struct Cache {
     map: HashMap<Fingerprint, LruSlot>,
+    /// Derived-program index: `(root source fingerprint, transform
+    /// stack)` → the fingerprint of the derived function. Running a
+    /// transform (re-deriving a whole `vjp`, say) just to discover that
+    /// the result is already compiled would make every `grad` call pay
+    /// the derivation; this index answers the hot path with two hash
+    /// lookups instead. Entries are a few words each; aliases whose
+    /// target program is LRU-evicted are dropped with it (see
+    /// [`Cache::install`]), so the index stays proportional to the live
+    /// cache — a re-requested stack just re-derives and re-aliases.
+    aliases: HashMap<StackId, Fingerprint>,
     capacity: usize,
+    tick: u64,
     evictions: usize,
+    hits: usize,
+    misses: usize,
 }
 
 struct LruSlot {
     entry: CacheEntry,
-    /// Recency tick, shared (`Arc`) with every published [`CacheView`]
-    /// so hits through a lock-free snapshot still bump LRU order.
-    last_used: Arc<AtomicU64>,
+    last_used: u64,
 }
 
-impl LruCache {
-    fn new(capacity: usize) -> LruCache {
-        LruCache {
+impl Cache {
+    fn new(capacity: usize) -> Cache {
+        Cache {
             map: HashMap::new(),
+            aliases: HashMap::new(),
             capacity: capacity.max(1),
+            tick: 0,
             evictions: 0,
+            hits: 0,
+            misses: 0,
         }
     }
 
-    /// Look up `key`, marking it most-recently-used on a hit. `tick` is
-    /// the engine's shared recency counter.
-    fn get(&self, key: &Fingerprint, tick: &AtomicU64) -> Option<CacheEntry> {
-        self.map.get(key).map(|slot| {
-            slot.last_used
-                .store(tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-            slot.entry.clone()
-        })
+    /// Count a hit on `key` and mark it most-recently-used.
+    fn touch(&mut self, key: &Fingerprint) -> Option<CacheEntry> {
+        let slot = self.map.get_mut(key)?;
+        self.tick += 1;
+        slot.last_used = self.tick;
+        self.hits += 1;
+        Some(slot.entry.clone())
     }
 
-    /// Insert `entry` under `key`, evicting the least-recently-used slot
-    /// when the cache is over capacity. If another thread inserted the same
-    /// key meanwhile, the first entry wins (so the executable stays shared)
-    /// and is returned, alongside the fingerprints evicted to make room
-    /// (so the caller can drop derived-program aliases that point at
-    /// them).
-    fn insert(
-        &mut self,
-        key: Fingerprint,
-        entry: CacheEntry,
-        tick: &AtomicU64,
-    ) -> (CacheEntry, Vec<Fingerprint>) {
-        let t = tick.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Look up `key`, aliasing a hit to `id` (a derived program found by
+    /// its fingerprint had lost, or never had, its alias).
+    fn lookup(&mut self, key: &Fingerprint, id: &StackId) -> Option<CacheEntry> {
+        let entry = self.touch(key)?;
+        self.alias(id, *key);
+        Some(entry)
+    }
+
+    /// Look up the program `id` is aliased to.
+    fn lookup_alias(&mut self, id: &StackId) -> Option<CacheEntry> {
+        let key = *self.aliases.get(id)?;
+        self.touch(&key)
+    }
+
+    /// Root programs are found by their own fingerprint; only derived
+    /// ones (non-empty stack) need the index.
+    fn alias(&mut self, id: &StackId, key: Fingerprint) {
+        if !id.1.is_empty() {
+            self.aliases.insert(id.clone(), key);
+        }
+    }
+
+    /// Insert `entry` under `key` and alias it to `id`, evicting
+    /// least-recently-used slots while the cache is over capacity. If
+    /// another thread inserted the same key meanwhile, the first entry
+    /// wins (so the executable stays shared) and is returned.
+    fn install(&mut self, key: Fingerprint, entry: CacheEntry, id: &StackId) -> CacheEntry {
+        self.tick += 1;
+        let t = self.tick;
         let kept = self
             .map
             .entry(key)
-            .and_modify(|slot| slot.last_used.store(t, Ordering::Relaxed))
+            .and_modify(|slot| slot.last_used = t)
             .or_insert(LruSlot {
                 entry,
-                last_used: Arc::new(AtomicU64::new(t)),
+                last_used: t,
             })
             .entry
             .clone();
-        let mut evicted = Vec::new();
+        self.alias(id, key);
         while self.map.len() > self.capacity {
             let lru = self
                 .map
                 .iter()
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
+                .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(k, _)| *k)
                 .expect("over-capacity cache cannot be empty");
             self.map.remove(&lru);
             self.evictions += 1;
-            evicted.push(lru);
+            // Drop aliases that point at the evicted program so the index
+            // stays proportional to the *live* cache: without this an
+            // engine compiling a stream of distinct functions would grow
+            // the index without bound while the cache stays capped.
+            self.aliases.retain(|_, target| *target != lru);
         }
-        (kept, evicted)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Published cache snapshots: the lock-free read path
-// ---------------------------------------------------------------------
-
-/// An immutable point-in-time view of the compiled-program cache plus the
-/// derived-program alias index, published as one `Arc` so the hot read
-/// paths — cache hits in [`Engine::compile`], alias hits in
-/// [`CompiledFn::transform`] — never touch the engine mutexes. Entries
-/// share the live cache's recency slots (`Arc<AtomicU64>`), so a hit
-/// through a snapshot still counts for LRU eviction order.
-struct CacheView {
-    map: HashMap<Fingerprint, (CacheEntry, Arc<AtomicU64>)>,
-    aliases: HashMap<(Fingerprint, Vec<Transform>), Fingerprint>,
-}
-
-impl CacheView {
-    fn empty() -> Arc<CacheView> {
-        Arc::new(CacheView {
-            map: HashMap::new(),
-            aliases: HashMap::new(),
-        })
-    }
-}
-
-/// The publication cell: a version counter plus the current snapshot
-/// (arc-swap style, in std only). Readers go through a bounded per-thread
-/// cache keyed by `(engine id, version)` — steady state is one `Acquire`
-/// load and a thread-local scan, no locks and no shared-line writes
-/// beyond the recency bump — and only fall back to the `RwLock` when the
-/// version moved, i.e. after a compile, an eviction, or a pipeline
-/// change. Writers serialize on the write lock and rebuild the snapshot
-/// from the live maps, so the freshest mutation always wins.
-struct ViewCell {
-    /// Process-unique engine id, keying the thread-local snapshot cache.
-    id: u64,
-    version: AtomicU64,
-    current: RwLock<Arc<CacheView>>,
-}
-
-/// Source of process-unique engine ids for [`ViewCell`].
-static ENGINE_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// The bound of the per-thread snapshot cache: threads touching many
-/// engines keep at most this many snapshots pinned.
-const VIEW_CACHE_SLOTS: usize = 8;
-
-thread_local! {
-    /// Per-thread `(engine id, version, snapshot)` cache backing
-    /// [`ViewCell::load`]'s lock-free steady state.
-    static VIEW_CACHE: RefCell<Vec<(u64, u64, Arc<CacheView>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-impl ViewCell {
-    fn new() -> ViewCell {
-        ViewCell {
-            id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
-            version: AtomicU64::new(0),
-            current: RwLock::new(CacheView::empty()),
-        }
-    }
-
-    /// The current snapshot. Steady state (no publication since this
-    /// thread last looked) is lock-free.
-    fn load(&self) -> Arc<CacheView> {
-        // Read the version *before* the snapshot so the cached pair is
-        // never tagged fresher than it is; a publication racing between
-        // the two reads only costs one extra refresh on the next load.
-        let version = self.version.load(Ordering::Acquire);
-        let cached = VIEW_CACHE.with(|c| {
-            c.borrow()
-                .iter()
-                .find(|(id, v, _)| *id == self.id && *v == version)
-                .map(|(_, _, view)| Arc::clone(view))
-        });
-        if let Some(view) = cached {
-            return view;
-        }
-        let view = Arc::clone(&self.current.read().unwrap());
-        VIEW_CACHE.with(|c| {
-            let mut cache = c.borrow_mut();
-            cache.retain(|(id, _, _)| *id != self.id);
-            if cache.len() >= VIEW_CACHE_SLOTS {
-                cache.remove(0);
-            }
-            cache.push((self.id, version, Arc::clone(&view)));
-        });
-        view
-    }
-}
-
-impl EngineInner {
-    /// Rebuild and publish the cache snapshot from the live maps. Must be
-    /// called *without* holding `cache`/`derived` (it takes them itself,
-    /// briefly, inside the publication critical section).
-    fn republish(&self) {
-        let mut current = self.view.current.write().unwrap();
-        let map = {
-            let cache = self.cache.lock().unwrap();
-            cache
-                .map
-                .iter()
-                .map(|(k, slot)| (*k, (slot.entry.clone(), Arc::clone(&slot.last_used))))
-                .collect()
-        };
-        let aliases = self.derived.lock().unwrap().clone();
-        *current = Arc::new(CacheView { map, aliases });
-        self.view.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// Answer `key` from the published snapshot — the contention-free hot
-    /// path. Bumps LRU recency through the shared slot.
-    fn lookup_published(&self, key: &Fingerprint) -> Option<CacheEntry> {
-        let view = self.view.load();
-        view.map.get(key).map(|(entry, last_used)| {
-            last_used.store(
-                self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
-            entry.clone()
-        })
+        kept
     }
 }
 
@@ -551,12 +449,14 @@ impl Engine {
     }
 
     /// An engine on an explicit backend instance (e.g. a backend with a
-    /// custom `ExecConfig`, or a future remote/sharded backend).
+    /// custom `ExecConfig`).
     pub fn with_backend(backend: Box<dyn Backend>) -> Engine {
         Engine::on_backend(
             Arc::from(backend),
             PassPipeline::standard(),
             DEFAULT_CACHE_CAPACITY,
+            None,
+            None,
         )
     }
 
@@ -566,11 +466,7 @@ impl Engine {
         EngineBuilder::new()
     }
 
-    fn on_backend(backend: Arc<dyn Backend>, pipeline: PassPipeline, capacity: usize) -> Engine {
-        Engine::on_backend_tiered(backend, pipeline, capacity, None, None)
-    }
-
-    fn on_backend_tiered(
+    fn on_backend(
         backend: Arc<dyn Backend>,
         pipeline: PassPipeline,
         capacity: usize,
@@ -580,13 +476,8 @@ impl Engine {
         Engine {
             inner: Arc::new(EngineInner {
                 backend,
-                pipeline: Mutex::new(pipeline),
-                cache: Mutex::new(LruCache::new(capacity)),
-                tick: AtomicU64::new(0),
-                view: ViewCell::new(),
-                derived: Mutex::new(HashMap::new()),
-                hits: AtomicUsize::new(0),
-                misses: AtomicUsize::new(0),
+                pipeline,
+                cache: Mutex::new(Cache::new(capacity)),
                 opt: Mutex::new(OptStats::default()),
                 tier,
                 persistent,
@@ -616,31 +507,16 @@ impl Engine {
     /// `engine.clone().with_pipeline(...)` safely builds an unoptimized
     /// variant next to the original.
     pub fn with_pipeline(self, pipeline: PassPipeline) -> Engine {
-        let capacity = self.inner.cache.lock().unwrap().capacity;
+        let capacity = self.inner.cache().capacity;
         // The persistent store is shared: its key includes the pipeline
         // configuration, so variants never collide on disk.
-        Engine::on_backend_tiered(
+        Engine::on_backend(
             Arc::clone(&self.inner.backend),
             pipeline,
             capacity,
             self.inner.tier.clone(),
             self.inner.persistent.clone(),
         )
-    }
-
-    /// Replace the pass pipeline in place. This reconfigures *every*
-    /// clone of this engine (they share the pipeline) and clears the
-    /// shared cache, since cached programs were optimized under the old
-    /// pipeline. For a side-by-side variant, use
-    /// [`Engine::with_pipeline`].
-    pub fn set_pipeline(&self, pipeline: PassPipeline) {
-        *self.inner.pipeline.lock().unwrap() = pipeline;
-        self.inner.cache.lock().unwrap().map.clear();
-        // Derived-program aliases are pipeline-independent (derivation
-        // happens on pre-pipeline IR), but clear them too so a
-        // reconfigured engine starts from a clean slate.
-        self.inner.derived.lock().unwrap().clear();
-        self.inner.republish();
     }
 
     /// The name of the engine's backend.
@@ -657,47 +533,34 @@ impl Engine {
 
     fn compile_with(inner: &Arc<EngineInner>, fun: &Fun) -> Result<CompiledFn, FirError> {
         let key = fingerprint_pair(fun);
-        let persist = Persist {
-            root: key,
-            stack: String::new(),
-            try_load: true,
-        };
-        let entry = Self::compile_entry(inner, key, fun, Some(persist))?;
-        Ok(CompiledFn::new(Arc::clone(inner), entry, key, Vec::new()))
+        let id = (key, Vec::new());
+        let entry = Self::compile_entry(inner, key, fun, &id, true)?;
+        Ok(CompiledFn::new(Arc::clone(inner), entry, id.0, id.1))
     }
 
     /// Compile `fun` under `key` (its fingerprint), answering from the
-    /// cache when possible and counting the hit/miss either way. `persist`
-    /// names the on-disk identity of this compilation — the *root*
-    /// fingerprint plus the canonical transform-stack string — when the
-    /// result should flow through the persistent store (with `try_load`
-    /// cleared when the caller already consulted it).
+    /// cache when possible and counting the hit/miss either way. `id`
+    /// names the program — the *root* fingerprint plus the transform
+    /// stack that derived `fun` from it — for the alias index and the
+    /// persistent store; `try_load` is cleared when the caller already
+    /// consulted the store for it.
     fn compile_entry(
         inner: &Arc<EngineInner>,
         key: Fingerprint,
         fun: &Fun,
-        persist: Option<Persist>,
+        id: &StackId,
+        try_load: bool,
     ) -> Result<CacheEntry, FirError> {
-        // Hot path: the published snapshot answers without touching the
-        // cache mutex, so concurrent cache hits (every serving-batch
-        // dispatch) never contend.
-        if let Some(entry) = inner.lookup_published(&key) {
-            inner.hits.fetch_add(1, Ordering::Relaxed);
-            fir_trace::instant("cache", "hit");
-            return Ok(entry);
-        }
-        // The snapshot may lag a concurrent insert; check the live cache
-        // under its lock before paying for a compile.
-        if let Some(entry) = inner.cache.lock().unwrap().get(&key, &inner.tick) {
-            inner.hits.fetch_add(1, Ordering::Relaxed);
+        let hit = inner.cache().lookup(&key, id);
+        if let Some(entry) = hit {
             fir_trace::instant("cache", "hit");
             return Ok(entry);
         }
         // The persistent tier, before any compile work: a disk hit
         // rebuilds the in-memory entry and skips typecheck, pipeline, and
         // backend compilation entirely.
-        if let Some(p) = persist.as_ref().filter(|p| p.try_load) {
-            if let Some((loaded_key, entry)) = Self::persist_load(inner, p.root, &p.stack) {
+        if try_load {
+            if let Some((loaded_key, entry)) = Self::persist_load(inner, id) {
                 debug_assert_eq!(loaded_key, key, "root entry keyed off its own source");
                 return Ok(entry);
             }
@@ -708,10 +571,9 @@ impl Engine {
             let _span = fir_trace::span("compile", "typecheck");
             fir::typecheck::check_fun(fun)?;
         }
-        let pipeline = inner.pipeline.lock().unwrap().clone();
         let (optimized, opt_stats) = {
             let _span = fir_trace::span("compile", "pipeline");
-            pipeline.apply_with_stats(fun)
+            inner.pipeline.apply_with_stats(fun)
         };
         inner.opt.lock().unwrap().absorb(&opt_stats);
         let exec = {
@@ -723,7 +585,7 @@ impl Engine {
         // reserve its slots for the entry's lifetime. (If the concurrent-
         // insert race below keeps another thread's entry, dropping ours
         // releases the reservation again.)
-        let plan = if pipeline.passes().contains(&crate::Pass::MemPlan) {
+        let plan = if inner.pipeline.passes().contains(&crate::Pass::MemPlan) {
             let p = fir_opt::plan_buffers(&optimized);
             let slots = p.slots();
             arena::reserve_slots(slots);
@@ -750,47 +612,31 @@ impl Engine {
         };
         // Another thread may have compiled the same function meanwhile;
         // keep the first entry so the executable stays shared.
-        let (entry, evicted) = inner.cache.lock().unwrap().insert(key, entry, &inner.tick);
-        if !evicted.is_empty() {
-            // Drop aliases that point at evicted programs so the derived
-            // index stays proportional to the *live* cache: without this
-            // an engine compiling a stream of distinct functions would
-            // grow the index without bound while the cache stays capped.
-            // (A re-requested stack just re-derives and re-aliases.)
-            inner
-                .derived
-                .lock()
-                .unwrap()
-                .retain(|_, target| !evicted.contains(target));
-        }
-        inner.misses.fetch_add(1, Ordering::Relaxed);
-        inner.republish();
-        if let Some(p) = &persist {
-            Self::persist_store(inner, p.root, &p.stack, &entry);
-        }
+        let entry = {
+            let mut cache = inner.cache();
+            cache.misses += 1;
+            cache.install(key, entry, id)
+        };
+        Self::persist_store(inner, id, &entry);
         Ok(entry)
     }
 
-    /// Consult the persistent store for the program of `(root, stack)`
-    /// under the engine's current pipeline and backend. On a hit, rebuild
-    /// the in-memory [`CacheEntry`] — adopting the decoded bytecode into
-    /// the VM's program cache with a **fresh** tier slot (promotion state
-    /// is never persisted) — insert it into the LRU cache under the
-    /// decoded source's fingerprint, and return both. Neither engine
+    /// Consult the persistent store for the program `id` names under the
+    /// engine's pipeline and backend. On a hit, rebuild the in-memory
+    /// [`CacheEntry`] — adopting the decoded bytecode into the VM's
+    /// program cache with a **fresh** tier slot (promotion state is never
+    /// persisted) — install it in the cache under the decoded source's
+    /// fingerprint, aliased to `id`, and return both. Neither engine
     /// `hits` nor `misses` move: those count in-memory outcomes, and the
     /// CI warm-start check relies on `misses == 0` meaning "no compile
     /// ran".
-    fn persist_load(
-        inner: &Arc<EngineInner>,
-        root: Fingerprint,
-        stack: &str,
-    ) -> Option<(Fingerprint, CacheEntry)> {
+    fn persist_load(inner: &Arc<EngineInner>, id: &StackId) -> Option<(Fingerprint, CacheEntry)> {
         let store = inner.persistent.as_ref()?;
-        let pipeline = inner.pipeline.lock().unwrap().clone();
-        let pipeline_key = pipeline.cache_key();
+        let (root, stack) = (id.0, stack_key(&id.1));
+        let pipeline_key = inner.pipeline.cache_key();
         let pkey = fir_cache::StoreKey {
             fingerprint: root,
-            transforms: stack,
+            transforms: &stack,
             pipeline: &pipeline_key,
             backend: inner.backend.name(),
         };
@@ -823,7 +669,7 @@ impl Engine {
                 }
             },
         };
-        let plan = if pipeline.passes().contains(&crate::Pass::MemPlan) {
+        let plan = if inner.pipeline.passes().contains(&crate::Pass::MemPlan) {
             let slots = fir_opt::plan_buffers(&optimized).slots();
             arena::reserve_slots(slots);
             Some(Arc::new(PlanInfo { slots }))
@@ -836,16 +682,8 @@ impl Engine {
             exec,
             plan,
         };
-        let (entry, evicted) = inner.cache.lock().unwrap().insert(key, entry, &inner.tick);
-        if !evicted.is_empty() {
-            inner
-                .derived
-                .lock()
-                .unwrap()
-                .retain(|_, target| !evicted.contains(target));
-        }
+        let entry = inner.cache().install(key, entry, id);
         fir_trace::instant("cache", "persistent-hit");
-        inner.republish();
         Some((key, entry))
     }
 
@@ -853,17 +691,17 @@ impl Engine {
     /// effort: backends whose executables carry no extractable bytecode
     /// (the interpreter) and I/O failures are silently skipped — the
     /// store is a cache, never a correctness dependency.
-    fn persist_store(inner: &EngineInner, root: Fingerprint, stack: &str, entry: &CacheEntry) {
+    fn persist_store(inner: &EngineInner, id: &StackId, entry: &CacheEntry) {
         let Some(store) = inner.persistent.as_ref() else {
             return;
         };
         let Some(program) = firvm::Vm::program_of(entry.exec.as_ref()) else {
             return;
         };
-        let pipeline_key = inner.pipeline.lock().unwrap().cache_key();
+        let pipeline_key = inner.pipeline.cache_key();
         let pkey = fir_cache::StoreKey {
-            fingerprint: root,
-            transforms: stack,
+            fingerprint: id.0,
+            transforms: &stack_key(&id.1),
             pipeline: &pipeline_key,
             backend: inner.backend.name(),
         };
@@ -887,85 +725,35 @@ impl Engine {
         let inner = &base.engine;
         let mut stack = base.stack.clone();
         stack.push(t);
-        let alias = (base.root_key, stack);
-        // Hot path: the published snapshot answers alias → entry with no
-        // locks at all (a `grad`/`transform` on an already-derived stack
-        // — every serving-batch dispatch — contends on nothing).
-        {
-            let view = inner.view.load();
-            if let Some(key) = view.aliases.get(&alias) {
-                if let Some((entry, last_used)) = view.map.get(key) {
-                    last_used.store(
-                        inner.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                        Ordering::Relaxed,
-                    );
-                    inner.hits.fetch_add(1, Ordering::Relaxed);
-                    fir_trace::instant("cache", "alias-hit");
-                    return Ok(CompiledFn::new(
-                        Arc::clone(inner),
-                        entry.clone(),
-                        base.root_key,
-                        alias.1,
-                    ));
-                }
-            }
-        }
-        // Stale-snapshot fallback: the live index under its lock. (The
-        // index guard is released before the cache lock is taken, so
-        // concurrent callers never serialize on both mutexes at once.)
-        let known = inner.derived.lock().unwrap().get(&alias).copied();
-        if let Some(key) = known {
-            if let Some(entry) = inner.cache.lock().unwrap().get(&key, &inner.tick) {
-                inner.hits.fetch_add(1, Ordering::Relaxed);
-                fir_trace::instant("cache", "alias-hit");
-                return Ok(CompiledFn::new(
-                    Arc::clone(inner),
-                    entry,
-                    base.root_key,
-                    alias.1,
-                ));
-            }
-        }
-        // The persistent tier, *before* deriving: a disk hit hands back
-        // the already-derived, already-compiled program, skipping the
-        // derivation itself (for `vjp` of a large workload, the dominant
-        // cost). The loaded entry lands in the LRU cache under the
-        // decoded source's fingerprint and is aliased like a compiled one.
-        let stack_str = stack_key(&alias.1);
-        if let Some((key, entry)) = Self::persist_load(inner, base.root_key, &stack_str) {
-            inner.derived.lock().unwrap().insert(alias.clone(), key);
-            inner.republish();
-            return Ok(CompiledFn::new(
-                Arc::clone(inner),
-                entry,
-                base.root_key,
-                alias.1,
-            ));
-        }
-        // Derive from the pre-pipeline source of the base handle (which
-        // already carries `base.stack` applied to the root), so gradients
-        // are identical whatever pipeline the engine runs. Derivation is
-        // deterministic: the fingerprint (and thus the cache slot) of a
-        // `(root, stack)` pair is stable across handles and evictions.
-        let fun = {
-            let _span = fir_trace::span("compile", t.name()).with_arg(base.stack.len() as u64 + 1);
-            t.apply(&base.entry.source)?
+        let id = (base.root_key, stack);
+        let hit = inner.cache().lookup_alias(&id);
+        let entry = if let Some(entry) = hit {
+            fir_trace::instant("cache", "alias-hit");
+            entry
+        } else if let Some((_, entry)) = Self::persist_load(inner, &id) {
+            // The persistent tier, *before* deriving: a disk hit hands
+            // back the already-derived, already-compiled program, skipping
+            // the derivation itself (for `vjp` of a large workload, the
+            // dominant cost). The loaded entry lands in the LRU cache under
+            // the decoded source's fingerprint and is aliased like a
+            // compiled one.
+            entry
+        } else {
+            // Derive from the pre-pipeline source of the base handle
+            // (which already carries `base.stack` applied to the root), so
+            // gradients are identical whatever pipeline the engine runs.
+            // Derivation is deterministic: the fingerprint (and thus the
+            // cache slot) of a `(root, stack)` pair is stable across
+            // handles and evictions.
+            let fun = {
+                let _span =
+                    fir_trace::span("compile", t.name()).with_arg(base.stack.len() as u64 + 1);
+                t.apply(&base.entry.source)?
+            };
+            let key = fingerprint_pair(&fun);
+            Self::compile_entry(inner, key, &fun, &id, false)?
         };
-        let key = fingerprint_pair(&fun);
-        let persist = Persist {
-            root: base.root_key,
-            stack: stack_str,
-            try_load: false,
-        };
-        let entry = Self::compile_entry(inner, key, &fun, Some(persist))?;
-        inner.derived.lock().unwrap().insert(alias.clone(), key);
-        inner.republish();
-        Ok(CompiledFn::new(
-            Arc::clone(inner),
-            entry,
-            base.root_key,
-            alias.1,
-        ))
+        Ok(CompiledFn::new(Arc::clone(inner), entry, id.0, id.1))
     }
 
     /// Aggregate optimizer statistics across every function this engine
@@ -977,10 +765,10 @@ impl Engine {
     /// Cache counters (hits, misses, live entries, evictions) — and, on a
     /// jit-tiered engine, the tier counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.inner.cache.lock().unwrap();
+        let cache = self.inner.cache();
         CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
+            hits: cache.hits,
+            misses: cache.misses,
             entries: cache.map.len(),
             evictions: cache.evictions,
             capacity: cache.capacity,
@@ -1135,7 +923,7 @@ impl EngineBuilder {
                 }
             })?)),
         };
-        Ok(Engine::on_backend_tiered(
+        Ok(Engine::on_backend(
             Arc::from(backend),
             self.pipeline,
             self.cache_capacity,
@@ -1938,7 +1726,7 @@ mod tests {
                 .unwrap();
         }
         assert!(engine.cache_stats().evictions >= 12);
-        let aliases = engine.inner.derived.lock().unwrap().len();
+        let aliases = engine.inner.cache().aliases.len();
         assert!(
             aliases <= engine.cache_stats().capacity,
             "alias index must shrink with evictions, found {aliases} entries"
@@ -2059,23 +1847,135 @@ mod tests {
             // A second program overflows the capacity-1 cache, evicting
             // the first — and with it, its reservation.
             let _f2 = engine.compile(&copyupd(2.0)).unwrap();
-            // The thread-local cache-view snapshot can pin the evicted
-            // entry until the next refresh; a hit on the live program
-            // forces one.
-            let _refresh = engine.compile(&copyupd(2.0)).unwrap();
             assert_eq!(engine.cache_stats().evictions, 1);
             // copyupd(1.0) and copyupd(2.0) plan identical slot counts,
             // so the eviction nets out to the single-program level.
             assert_eq!(interp::alloc_stats().reserved_slots, after1);
         }
-        // Dropping the engine (and every handle) returns everything —
-        // once this thread's bounded view cache stops pinning the last
-        // published snapshot (churn it with fresh engines).
+        // Dropping the engine (and every handle) returns everything.
         drop(engine);
-        for _ in 0..VIEW_CACHE_SLOTS {
-            Engine::by_name("vm-seq").unwrap().compile(&dot()).unwrap();
-        }
         assert_eq!(interp::alloc_stats().reserved_slots, base);
+    }
+
+    #[test]
+    fn a_dropped_engine_frees_its_programs_while_a_thread_that_used_it_lives() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let _g = arena_lock();
+        let engine = Engine::builder()
+            .backend_name("vm-seq")
+            .pipeline(PassPipeline::standard_mem())
+            .build()
+            .unwrap();
+        let base = interp::alloc_stats().reserved_slots;
+        let (exec_tx, exec_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let clone = engine.clone();
+            let helper = s.spawn(move || {
+                let f = clone.compile(&copyupd(3.0)).unwrap();
+                // A second lookup, answered from the cache this time.
+                clone.compile(&copyupd(3.0)).unwrap();
+                let exec = Arc::downgrade(&f.entry.exec);
+                drop((f, clone));
+                // Park, alive, with nothing of the engine in hand.
+                exec_tx.send(exec).unwrap();
+                release_rx.recv_timeout(Duration::from_secs(30))
+            });
+            let exec = exec_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+            drop(engine);
+            let freed = (
+                interp::alloc_stats().reserved_slots,
+                exec.upgrade().is_none(),
+            );
+            release_tx.send(()).unwrap();
+            helper.join().unwrap().expect("helper timed out parked");
+            assert_eq!(
+                freed,
+                (base, true),
+                "(reserved slots, executable freed) while the helper thread was still alive"
+            );
+        });
+    }
+
+    #[test]
+    fn concurrent_lookups_conserve_the_cache_counters() {
+        const THREADS: usize = 4;
+        const STEPS: usize = 200;
+        let funs: Vec<Fun> = (0..6).map(|i| copyupd(i as f64 + 1.25)).collect();
+        let args = vec![Value::from(vec![1.0, -2.0, 3.5])];
+        let reference = Engine::by_name("vm-seq").unwrap();
+        let want: Vec<GradOutput> = funs
+            .iter()
+            .map(|f| reference.compile(f).unwrap().grad(&args).unwrap())
+            .collect();
+        let engine = Engine::builder()
+            .backend_name("vm-seq")
+            .cache_capacity(3)
+            .build()
+            .unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let lookups: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (engine, funs, args, want, barrier) =
+                        (&engine, &funs, &args, &want, &barrier);
+                    s.spawn(move || {
+                        // A fixed-seed LCG per thread picks (function, op).
+                        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1);
+                        let mut lookups = 0;
+                        barrier.wait();
+                        for _ in 0..STEPS {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            let i = (state >> 33) as usize % funs.len();
+                            let f = engine.compile(&funs[i]).unwrap();
+                            lookups += 1;
+                            match (state >> 40) % 4 {
+                                0 => {}
+                                1 => {
+                                    f.vjp().unwrap();
+                                    lookups += 1;
+                                }
+                                2 => {
+                                    f.transform(&[Transform::Vjp, Transform::Jvp]).unwrap();
+                                    lookups += 2;
+                                }
+                                _ => {
+                                    let got = f.grad(args).unwrap();
+                                    lookups += 1;
+                                    assert_eq!(got.scalar().to_bits(), want[i].scalar().to_bits());
+                                    assert_eq!(
+                                        got.grads[0].as_arr().f64s(),
+                                        want[i].grads[0].as_arr().f64s()
+                                    );
+                                }
+                            }
+                        }
+                        lookups
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let s = engine.cache_stats();
+        assert_eq!(
+            s.hits + s.misses,
+            lookups,
+            "every lookup is a hit or a miss: {s}"
+        );
+        assert!(s.entries <= s.capacity, "{s}");
+        assert!(s.evictions + s.entries <= s.misses, "{s}");
+        assert!(
+            s.evictions > 0,
+            "six programs and their transforms must overflow: {s}"
+        );
+        let cache = engine.inner.cache();
+        assert!(
+            cache.aliases.values().all(|k| cache.map.contains_key(k)),
+            "an alias outlived the program it points at"
+        );
     }
 
     #[test]
@@ -2166,7 +2066,7 @@ mod tests {
         }
         let s = engine.cache_stats();
         assert!(s.evictions >= 3, "{s}");
-        let aliases = engine.inner.derived.lock().unwrap().len();
+        let aliases = engine.inner.cache().aliases.len();
         assert!(
             aliases <= s.capacity,
             "aliases of evicted promoted programs must be dropped, found {aliases}"

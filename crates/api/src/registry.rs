@@ -1,10 +1,8 @@
 //! The single backend registry.
 //!
-//! Before this crate existed, `backend_by_name` was copied in `interp`,
-//! `firvm` and the umbrella crate, each knowing a different subset of
-//! backends and each panicking differently on unknown names. This module is
-//! the one place a backend name is resolved; the old copies are deprecated
-//! shims.
+//! This module is the one place a backend name is resolved: every name in
+//! [`BACKEND_NAMES`] maps to a backend here, and an unknown name is an
+//! error listing them rather than a panic.
 
 use std::sync::Arc;
 

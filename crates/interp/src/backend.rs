@@ -13,9 +13,7 @@
 //!    panicking on malformed input.
 //!
 //! The split matches the staged workflow of the `fir-api` crate — compile
-//! once, run hot — and is what future scaling backends (sharded, batched,
-//! remote) plug into: `prepare` is where a remote backend would ship the
-//! program, `run` where it would dispatch a request.
+//! once, run hot.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

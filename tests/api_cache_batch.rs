@@ -128,15 +128,6 @@ fn lru_eviction_recompiles_derived_programs_but_held_handles_stay_valid() {
     assert_eq!(grad_after.flat_grads(), grad_before.flat_grads());
 }
 
-#[test]
-fn changing_the_pipeline_clears_the_cache() {
-    let engine = Engine::new();
-    engine.compile(&gmm::objective_ir()).unwrap();
-    assert_eq!(engine.cache_stats().entries, 1);
-    engine.set_pipeline(futhark_ad_repro::PassPipeline::none());
-    assert_eq!(engine.cache_stats().entries, 0);
-}
-
 /// Per-example-gradient parity on one workload, on both backends: a
 /// batch of three distinct instances computed by (a) a sequential
 /// per-call `call`/`grad` loop, (b) task-parallel `call_batch` /

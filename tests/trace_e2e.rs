@@ -16,6 +16,22 @@ use workloads::gmm;
 fn served_vjp_request_produces_one_connected_trace() {
     fir_trace::set_enabled(true);
 
+    // Every engine-cache lookup reports its outcome as a `cache` instant:
+    // compile, recompile, first `vjp()` (the derived program compiles),
+    // second `vjp()`.
+    let engine = Engine::by_name("vm").unwrap();
+    let f = engine.compile(&gmm::objective_ir()).unwrap();
+    engine.compile(&gmm::objective_ir()).unwrap();
+    f.vjp().unwrap();
+    f.vjp().unwrap();
+    let lookups: Vec<_> = fir_trace::drain()
+        .events
+        .iter()
+        .filter(|e| e.cat == "cache")
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(lookups, ["miss", "hit", "miss", "alias-hit"]);
+
     let server = ServerBuilder::new(Engine::by_name("vm").unwrap())
         .batch_policy(BatchPolicy {
             max_batch_size: 4,
