@@ -6,13 +6,13 @@
 //! from disk. This crate makes compilation results durable across
 //! processes:
 //!
-//! - [`codec`]: a versioned binary codec for [`firvm::Program`] bytecode
+//! - `codec`: a versioned binary codec for [`firvm::Program`] bytecode
 //!   and `fir` IR — framed documents with a magic header, an explicit
 //!   format version, and a payload checksum. Decoding hostile, truncated,
 //!   or corrupt bytes returns a typed [`CacheError`], never a panic, and
 //!   every decoded program is structurally validated before the VM sees
 //!   it.
-//! - [`store`]: a directory of atomically-written entries keyed by
+//! - `store`: a directory of atomically-written entries keyed by
 //!   `(structural fingerprint, transform stack, pipeline, backend)`. Any
 //!   mismatch — including a format-version bump — falls back to a
 //!   recompile that overwrites the stale entry.

@@ -49,6 +49,12 @@ pub fn vjp(fun: &Fun) -> Fun {
     // per-construct rules below differentiate the unfused form (the derived
     // function is re-fused when it passes through the pipeline again).
     let fun = &fir::lower::unfuse(fun);
+    // A gather on a `map` row reads the mapped array instead, so that array
+    // is free in the lambda and `rev_map` makes its adjoint an accumulator
+    // (the accumulator arm of `add_index_to_adjoint`); left as a parameter
+    // the gather's adjoint is a dense row per element, which breaks the
+    // O(primal) work guarantee.
+    let fun = &fir::lower::forward_row_reads(fun);
     let mut b = Builder::for_fun(fun);
     register_fun_types(&mut b, fun);
     let mut rev = Rev {
@@ -180,8 +186,19 @@ impl Rev {
     }
 
     /// Add `contrib` to the adjoint of `v` at index `idx` (the adjoint of an
-    /// array read `v[idx]`). Uses `upd_acc` when the adjoint is an
-    /// accumulator and an index/add/update sequence otherwise.
+    /// array read `v[idx]`).
+    ///
+    /// * Accumulator arm — reached when `v` is *free* in an enclosing `map`
+    ///   lambda (`rev_map` bound its adjoint to a `withacc` accumulator, or
+    ///   passed an enclosing one through): one `upd_acc`, work proportional
+    ///   to the cells read.
+    /// * Dense arm — reached when `v` is local to the scope being
+    ///   differentiated (a lambda parameter, a `let`, a loop parameter): an
+    ///   index/add/update on a full-size adjoint of `v`, zero-initialised on
+    ///   first use. A gather on a `map` *parameter* would land here with one
+    ///   dense row per element; `vjp` runs `fir::lower::forward_row_reads`
+    ///   first so such a gather reads the free mapped array and takes the
+    ///   accumulator arm instead.
     fn add_index_to_adjoint(&mut self, v: VarId, idx: &[Atom], contrib: Atom) {
         let ty = self.b.ty_of(v);
         if !ty.is_differentiable() {
@@ -955,7 +972,7 @@ impl Rev {
     // -----------------------------------------------------------------
 
     fn rev_loop(&mut self, stm: &Stm, checkpoints: &[VarId]) {
-        let (params, _index, count, body) = match &stm.exp {
+        let (params, index, count, body) = match &stm.exp {
             Exp::Loop {
                 params,
                 index,
@@ -991,12 +1008,10 @@ impl Rev {
         let init_fv_adj: Vec<VarId> = fvs.iter().map(|v| self.adjoint_or_zero(*v)).collect();
 
         // Loop-carried adjoint parameters.
-        let pbar_params: Vec<Param> = diff_idx
+        let pbar_params: Vec<Param> = init_out_adj
             .iter()
-            .zip(&init_out_adj)
-            .map(|(j, init)| {
+            .map(|init| {
                 let ty = self.b.ty_of(*init);
-                let _ = j;
                 Param::new(self.b.fresh(ty), ty)
             })
             .collect();
@@ -1027,7 +1042,7 @@ impl Rev {
         }
         // Bind the original loop index to i as well.
         self.b
-            .push_stm(Stm::new(vec![Param::new(_index, Type::I64)], Exp::Atom(i)));
+            .push_stm(Stm::new(vec![Param::new(index, Type::I64)], Exp::Atom(i)));
         // Adjoint environment for the loop body scope.
         self.adj = HashMap::new();
         for (fv, fp) in fvs.iter().zip(&fvbar_params) {
@@ -1236,7 +1251,7 @@ impl Rev {
                     args: map_args,
                 },
             );
-            self.finish_map_adjoints(&outs, &diff_args, args, &sfv, n_arg, n_sfv);
+            self.finish_map_adjoints(&outs, &diff_args, args, &sfv, n_arg);
             // Passed-through accumulators: keep the freshest handle.
             for (k, (v, _)) in pass.iter().enumerate() {
                 self.adj.insert(*v, outs[n_arg + n_sfv + n_wrap + k]);
@@ -1300,7 +1315,7 @@ impl Rev {
                 self.adj.insert(*v, outs[k]);
             }
             let secondary: Vec<VarId> = outs[n_wrap..].to_vec();
-            self.finish_map_adjoints(&secondary, &diff_args, args, &sfv, n_arg, n_sfv);
+            self.finish_map_adjoints(&secondary, &diff_args, args, &sfv, n_arg);
             // Passed-through accumulators keep their (shared) handles; the
             // buffer updates are already visible through them.
         }
@@ -1315,7 +1330,6 @@ impl Rev {
         args: &[VarId],
         sfv: &[VarId],
         n_arg: usize,
-        n_sfv: usize,
     ) {
         for (k, j) in diff_args.iter().enumerate() {
             self.add_to_adjoint(args[*j], Atom::Var(outs[k]));
@@ -1324,7 +1338,6 @@ impl Rev {
             let s = self.b.sum(outs[n_arg + k]);
             self.add_to_adjoint(*v, Atom::Var(s));
         }
-        let _ = n_sfv;
     }
 
     // -----------------------------------------------------------------

@@ -6,12 +6,16 @@
 //! scalars and rank-1/rank-2 `f64` arrays: scalar arithmetic and
 //! transcendentals, `select`, constant indexing, `len`/`replicate`,
 //! `map` (including nested maps over matrix rows, with captured outer
-//! scalars — fodder for the hoisting pass), `reduce` with recognized
+//! scalars — fodder for the hoisting pass — and gathers `row[j]` on a
+//! matrix row at a literal or clamped data-dependent position, optionally
+//! from inside a `loop`: the shape `fir::lower::forward_row_reads`
+//! rewrites), `reduce` with recognized
 //! associative operators, prefix sums, `if` over scalar conditions,
 //! bounded sequential `loop`s, and `copy` + constant-index `update`
 //! pairs (fodder for the memory-planning pass's in-place lowering). Every rank-1 array in a generated program
 //! shares one outer length and every rank-2 array one shape, and indices
-//! are constants within bounds, so programs never trap at runtime.
+//! are constants within bounds or clamped into them, so programs never
+//! trap at runtime.
 //!
 //! Determinism: generation consumes only the caller's [`TestRng`] (the
 //! fixed-seed splitmix64 stream of the vendored `proptest` stand-in), so a
@@ -26,7 +30,9 @@
 //! * [`GenConfig::smooth`] — restricts to operations that are smooth and
 //!   bounded on the generated input ranges (no `min`/`max`/`select`/`if`,
 //!   no `exp`/`log`/`div`), and returns a single scalar — suitable for
-//!   finite-difference gradient checking of the AD transforms.
+//!   finite-difference gradient checking of the AD transforms. (A gather's
+//!   data-dependent position is a step function of its input, which only
+//!   ever feeds an index, never a value.)
 
 use fir::builder::Builder;
 use fir::ir::{Atom, Fun, ReduceOp, VarId};
@@ -78,7 +84,7 @@ pub fn arbitrary_fun(name: &str, rng: &mut TestRng, cfg: &GenConfig) -> (Fun, Ve
     let m = rng.below(2, 4); // shared inner length of rank-2 arrays
     let num_f64 = rng.below(1, 3);
     let num_arr1 = rng.below(1, 3);
-    let num_arr2 = usize::from(!cfg.smooth && rng.below(0, 2) == 1);
+    let num_arr2 = usize::from(rng.below(0, 2) == 1);
 
     let mut param_tys = Vec::new();
     let mut args = Vec::new();
@@ -107,6 +113,7 @@ pub fn arbitrary_fun(name: &str, rng: &mut TestRng, cfg: &GenConfig) -> (Fun, Ve
             rng,
             cfg,
             n,
+            m,
             f64s: Vec::new(),
             arr1: Vec::new(),
             arr2: Vec::new(),
@@ -146,6 +153,8 @@ struct Gen<'a> {
     cfg: &'a GenConfig,
     /// The shared outer length of every rank-1 array in the program.
     n: usize,
+    /// The shared inner length of every rank-2 array in the program.
+    m: usize,
     f64s: Vec<VarId>,
     arr1: Vec<VarId>,
     arr2: Vec<VarId>,
@@ -243,9 +252,9 @@ impl Gen<'_> {
     fn stm(&mut self, b: &mut Builder, depth: usize) {
         let has_arr1 = !self.arr1.is_empty();
         let has_arr2 = !self.arr2.is_empty();
-        // The copy+update arm only exists in the full profile, so the
-        // smooth (gradcheck) corpus is unchanged by its addition.
-        let choices = if self.cfg.smooth { 10 } else { 11 };
+        // The copy+update arm (the last one) only exists in the full
+        // profile.
+        let choices = if self.cfg.smooth { 11 } else { 12 };
         let choice = self.rng.below(0, choices);
         match choice {
             // Scalar chain.
@@ -341,28 +350,66 @@ impl Gen<'_> {
                 });
                 self.f64s.push(r[0]);
             }
+            // Map over matrix rows: a gather `row[j]` (the shape
+            // `forward_row_reads` rewrites), or a nested reduction of the
+            // whole row (which it must leave alone).
+            10 if has_arr2 && depth > 1 => {
+                let i = self.pick(self.arr2.len());
+                let mat = self.arr2[i];
+                if self.rng.below(0, 4) == 0 {
+                    let out = b.map1(Type::arr_f64(1), &[mat], |b, rows| {
+                        let sq = b.map1(Type::arr_f64(1), &[rows[0]], |b, es| {
+                            vec![self.scalar_chain(b, es)]
+                        });
+                        vec![Atom::Var(b.sum(sq))]
+                    });
+                    self.arr1.push(out);
+                    return;
+                }
+                let i = self.pick(self.arr1.len());
+                let xs = self.arr1[i];
+                let last = Atom::i64(self.m as i64 - 1);
+                let literal = Atom::i64(self.rng.below(0, self.m) as i64);
+                let data_dependent = self.rng.below(0, 3) != 0;
+                let trips = self.rng.below(0, 3) as i64; // 0: no loop
+                let out = b.map1(Type::arr_f64(1), &[mat, xs], |b, es| {
+                    let (row, x) = (es[0], es[1]);
+                    // |x| * 2 truncated and clamped: an in-bounds position
+                    // that depends on the data, piecewise constant in it.
+                    let j = if data_dependent {
+                        let a = b.fabs(x.into());
+                        let s = b.fmul(a, Atom::f64(2.0));
+                        let t = b.to_i64(s);
+                        b.imin(t, last)
+                    } else {
+                        literal
+                    };
+                    if trips == 0 {
+                        let e = b.index(row, &[j]);
+                        return vec![self.scalar_chain(b, &[e, x])];
+                    }
+                    let init = Atom::f64(0.0);
+                    let r = b.loop_(&[(Type::F64, init)], Atom::i64(trips), |b, t, acc| {
+                        let jt = b.iadd(j, t.into());
+                        let jj = b.imin(jt, last);
+                        let e = b.index(row, &[jj]);
+                        let chain = self.scalar_chain(b, &[e, x]);
+                        vec![b.fadd(chain, Atom::Var(acc[0]))]
+                    });
+                    vec![r[0].into()]
+                });
+                self.arr1.push(out);
+            }
             // Copy then constant-index update: the functional in-place
             // pair the memory planner rewrites into a true in-place write
             // whenever the copy's source is dead after the update.
-            10 if has_arr1 => {
+            11 if has_arr1 => {
                 let i = self.pick(self.arr1.len());
                 let arr = self.arr1[i];
                 let y = b.copy(arr);
                 let c = self.rng.below(0, self.n) as i64;
                 let v = self.scalar(b);
                 let out = b.update(y, &[Atom::i64(c)], v);
-                self.arr1.push(out);
-            }
-            // Map over matrix rows with a nested reduction.
-            _ if has_arr2 && depth > 1 => {
-                let i = self.pick(self.arr2.len());
-                let mat = self.arr2[i];
-                let out = b.map1(Type::arr_f64(1), &[mat], |b, rows| {
-                    let sq = b.map1(Type::arr_f64(1), &[rows[0]], |b, es| {
-                        vec![self.scalar_chain(b, es)]
-                    });
-                    vec![Atom::Var(b.sum(sq))]
-                });
                 self.arr1.push(out);
             }
             _ => {
@@ -436,6 +483,48 @@ mod tests {
                 "case {case} produced {:?}",
                 out[0]
             );
+        }
+    }
+
+    /// The corpora `tests/opt_fuzz.rs` draws (256 full-profile programs, 64
+    /// smooth ones, each from a fresh deterministic stream) must contain
+    /// the pattern `forward_row_reads` rewrites, with and without a loop
+    /// around the gather — otherwise the fuzz square never holds the
+    /// rewrite to its bitwise contract.
+    #[test]
+    fn corpora_contain_gathers_on_map_rows() {
+        use fir::ir::{Body, Exp};
+        /// Is there a forwarded read (`xs[i, j]`, two indices) under a loop?
+        fn gathers_in_loop(body: &Body, in_loop: bool) -> bool {
+            body.stms.iter().any(|s| match &s.exp {
+                Exp::Index { idx, .. } => in_loop && idx.len() == 2,
+                Exp::Loop { body, .. } => gathers_in_loop(body, true),
+                Exp::Map { lam, .. } => gathers_in_loop(&lam.body, in_loop),
+                _ => false,
+            })
+        }
+        for (profile, cfg, cases) in [
+            ("full", GenConfig::default(), 256),
+            ("smooth", GenConfig::smooth(), 64),
+        ] {
+            let mut rng = TestRng::deterministic();
+            let (mut gathers, mut in_loops, mut rank2) = (0, 0, 0);
+            for case in 0..cases {
+                let (fun, _) = arbitrary_fun(&format!("c{case}"), &mut rng, &cfg);
+                rank2 += usize::from(fun.params.iter().any(|p| p.ty == Type::arr_f64(2)));
+                let (out, n) = fir::lower::forward_row_reads_counted(&fun);
+                if n > 0 {
+                    check_fun(&out).unwrap_or_else(|e| panic!("case {case}: {e}\n{out}"));
+                    gathers += 1;
+                    in_loops += usize::from(gathers_in_loop(&out.body, false));
+                }
+            }
+            println!(
+                "{profile}: {cases} programs, {rank2} with a rank-2 array, \
+                 {gathers} with a forwardable row gather, {in_loops} of those inside a loop"
+            );
+            assert!(gathers >= cases / 32, "{profile}: {gathers} of {cases}");
+            assert!(in_loops > 0, "{profile}: no gather nested with a loop");
         }
     }
 

@@ -149,7 +149,11 @@ fn dce_exp(e: &Exp, removed: &mut usize) -> Exp {
 // Copy propagation
 // ---------------------------------------------------------------------
 
-/// Replace uses of variables bound by `let y = x` with `x` directly.
+/// Replace uses of variables bound by `let y = x` with `x` directly, and
+/// a gather `row[j]` on a `map` row with the read `xs[i, j]` of the mapped
+/// array it is an element of ([`fir::lower::forward_row_reads`]) — either
+/// way a read is forwarded to its source, and the second stops the
+/// executors copying a row out of `xs` per element only to read a cell.
 ///
 /// Scope-correct under shadowing: the `vjp` transformation legally re-emits
 /// statements with their original binder ids into sibling scopes, so an
@@ -160,10 +164,11 @@ pub fn copy_propagation(fun: &Fun) -> Fun {
     copy_propagation_counted(fun).0
 }
 
-/// [`copy_propagation`], also returning the number of aliases eliminated.
+/// [`copy_propagation`], also returning the number of aliases eliminated
+/// plus the number of row reads forwarded.
 pub fn copy_propagation_counted(fun: &Fun) -> (Fun, usize) {
+    let (fun, mut count) = fir::lower::forward_row_reads_counted(fun);
     let mut subst: HashMap<VarId, Atom> = HashMap::new();
-    let mut count = 0;
     let body = cp_body(&fun.body, &mut subst, &mut count);
     (
         Fun {
