@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use fir::ir::Fun;
 use fir::types::Type;
-use firvm::{fingerprint_pair, TierCounters};
+use firvm::fingerprint_pair;
 use interp::{arena, validate_args, Array, Backend, Executable, Value, WorkerPool};
 
 use crate::error::FirError;
@@ -62,11 +62,6 @@ struct EngineInner {
     /// `backend.prepare`, disk I/O and trace events all happen outside it.
     cache: Mutex<Cache>,
     opt: Mutex<OptStats>,
-    /// Counters of the backend's jit specialization tier, when the engine
-    /// was built on a tiered backend (`vm-jit`/`vm-jit-seq`, or any named
-    /// VM with [`EngineBuilder::jit_threshold`]). Shared with the
-    /// backend's `TierConfig`; surfaced through [`CacheStats::tier`].
-    tier: Option<Arc<TierCounters>>,
     /// The on-disk compile cache ([`EngineBuilder::persistent_cache`]):
     /// consulted after an in-memory miss, before any typecheck/derive/
     /// optimize/prepare work, and written back after every compile. A
@@ -336,19 +331,18 @@ impl std::fmt::Display for OptStats {
     }
 }
 
-/// Counters of a backend's jit specialization tier (see the `fir-jit`
-/// crate): how many hot programs were promoted to native kernels, how many
-/// SOAC/region dispatches ran jitted, and how many offers the jit declined
-/// (per-kernel fallback to the VM path).
+/// Counters of the VM's two kernel forms ([`firvm::TapeStats`] under the
+/// field names this struct has always had): a kernel runs as a monomorphic
+/// tape when `firvm::compile` could lower it, and as generic bytecode
+/// otherwise — `Program::tape_report` says which, and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
-    /// Programs whose run count crossed the hotness threshold and
-    /// specialized to native kernels.
+    /// Programs prepared with at least one tape.
     pub promotions: usize,
-    /// SOAC and region dispatches executed by the jit tier.
+    /// SOAC and main-body-region dispatches run as tapes.
     pub jit_hits: usize,
-    /// Dispatches the jit declined (unsupported expression or shape
-    /// class), executed by the VM instead.
+    /// Dispatches run as generic bytecode: the kernel has no tape, or a
+    /// value was outside its tape's shape class.
     pub fallbacks: usize,
 }
 
@@ -365,8 +359,8 @@ pub struct CacheStats {
     pub evictions: usize,
     /// The configured LRU bound (see [`EngineBuilder::cache_capacity`]).
     pub capacity: usize,
-    /// Specialization-tier counters, on engines with a jit-tiered backend
-    /// (`None` on plain backends).
+    /// Tape/generic dispatch counters, on every engine whose backend is the
+    /// VM (`None` on the interpreter).
     pub tier: Option<TierStats>,
     /// Allocation counters of the execution arena (process-global: shared
     /// by every engine; see [`interp::alloc_stats`]). `reserved_slots`
@@ -380,8 +374,7 @@ pub struct CacheStats {
 impl std::fmt::Display for CacheStats {
     /// One human-readable line, e.g.
     /// `cache: 3 hits, 2 misses, 2/128 entries, 0 evictions` — plus, on a
-    /// jit-tiered engine,
-    /// `; jit: 1 promotion, 64 hits, 0 fallbacks`.
+    /// VM engine, `; tapes: 2 taped programs, 64 tape dispatches, 3 generic`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -398,13 +391,12 @@ impl std::fmt::Display for CacheStats {
         if let Some(t) = &self.tier {
             write!(
                 f,
-                "; jit: {} promotion{}, {} hit{}, {} fallback{}",
+                "; tapes: {} taped program{}, {} tape dispatch{}, {} generic",
                 t.promotions,
                 if t.promotions == 1 { "" } else { "s" },
                 t.jit_hits,
-                if t.jit_hits == 1 { "" } else { "s" },
+                if t.jit_hits == 1 { "" } else { "es" },
                 t.fallbacks,
-                if t.fallbacks == 1 { "" } else { "s" },
             )?;
         }
         if self.arena.reserved_slots > 0 {
@@ -456,7 +448,6 @@ impl Engine {
             PassPipeline::standard(),
             DEFAULT_CACHE_CAPACITY,
             None,
-            None,
         )
     }
 
@@ -470,7 +461,6 @@ impl Engine {
         backend: Arc<dyn Backend>,
         pipeline: PassPipeline,
         capacity: usize,
-        tier: Option<Arc<TierCounters>>,
         persistent: Option<Arc<fir_cache::Store>>,
     ) -> Engine {
         Engine {
@@ -479,7 +469,6 @@ impl Engine {
                 pipeline,
                 cache: Mutex::new(Cache::new(capacity)),
                 opt: Mutex::new(OptStats::default()),
-                tier,
                 persistent,
             }),
         }
@@ -487,9 +476,7 @@ impl Engine {
 
     /// An engine on the backend registered under `name` (see
     /// [`crate::BACKEND_NAMES`]). Unknown names return
-    /// [`FirError::UnknownBackend`] listing the valid names. The jit
-    /// names (`vm-jit`, `vm-jit-seq`) build a tiered engine whose
-    /// [`CacheStats::tier`] counters are live.
+    /// [`FirError::UnknownBackend`] listing the valid names.
     pub fn by_name(name: &str) -> Result<Engine, FirError> {
         Engine::builder().backend_name(name).build()
     }
@@ -514,7 +501,6 @@ impl Engine {
             Arc::clone(&self.inner.backend),
             pipeline,
             capacity,
-            self.inner.tier.clone(),
             self.inner.persistent.clone(),
         )
     }
@@ -624,8 +610,7 @@ impl Engine {
     /// Consult the persistent store for the program `id` names under the
     /// engine's pipeline and backend. On a hit, rebuild the in-memory
     /// [`CacheEntry`] — adopting the decoded bytecode into the VM's
-    /// program cache with a **fresh** tier slot (promotion state is never
-    /// persisted) — install it in the cache under the decoded source's
+    /// program cache, its tapes re-derived by `Program::assemble` — install it in the cache under the decoded source's
     /// fingerprint, aliased to `id`, and return both. Neither engine
     /// `hits` nor `misses` move: those count in-memory outcomes, and the
     /// CI warm-start check relies on `misses == 0` meaning "no compile
@@ -763,7 +748,7 @@ impl Engine {
     }
 
     /// Cache counters (hits, misses, live entries, evictions) — and, on a
-    /// jit-tiered engine, the tier counters.
+    /// VM engine, the tape/generic dispatch counters.
     pub fn cache_stats(&self) -> CacheStats {
         let cache = self.inner.cache();
         CacheStats {
@@ -772,14 +757,19 @@ impl Engine {
             entries: cache.map.len(),
             evictions: cache.evictions,
             capacity: cache.capacity,
-            tier: self.inner.tier.as_ref().map(|c| {
-                let (promotions, jit_hits, fallbacks) = c.snapshot();
-                TierStats {
-                    promotions,
-                    jit_hits,
-                    fallbacks,
-                }
-            }),
+            tier: self
+                .inner
+                .backend
+                .as_any()
+                .downcast_ref()
+                .map(|vm: &firvm::Vm| {
+                    let t = vm.tape_stats();
+                    TierStats {
+                        promotions: t.taped_programs,
+                        jit_hits: t.tape_dispatches,
+                        fallbacks: t.generic_dispatches,
+                    }
+                }),
             arena: interp::alloc_stats(),
             persistent: self.inner.persistent.as_ref().map(|s| s.stats()),
         }
@@ -815,7 +805,6 @@ pub struct EngineBuilder {
     backend: BackendChoice,
     pipeline: PassPipeline,
     cache_capacity: usize,
-    jit_threshold: Option<u64>,
     persistent_cache: Option<PathBuf>,
 }
 
@@ -834,7 +823,6 @@ impl EngineBuilder {
             backend: BackendChoice::Env,
             pipeline: PassPipeline::standard(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            jit_threshold: None,
             persistent_cache: None,
         }
     }
@@ -866,17 +854,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Promote programs to the `fir-jit` specialization tier once their
-    /// run count reaches `threshold`. Selects the jit-tiered VM: on the
-    /// plain VM names (`vm`, `vm-seq`, and the env default when it
-    /// resolves to one of them) this upgrades the backend to its `-jit`
-    /// variant; on the jit names it tunes the threshold (which otherwise
-    /// defaults to `fir_jit::DEFAULT_THRESHOLD`). Combining it with the
-    /// interpreter or an explicit backend instance is an error at
-    /// [`EngineBuilder::build`] — construct tiered instances with
-    /// `fir_jit::vm_with` instead.
-    pub fn jit_threshold(mut self, threshold: u64) -> EngineBuilder {
-        self.jit_threshold = Some(threshold);
+    /// Accepted and ignored: there is no hotness tier to tune. Every VM
+    /// engine lowers kernels to tapes at compile time and runs them as
+    /// tapes from the first call, so this selects nothing. It survives
+    /// only because the frozen benchmark (`fir_bench/`) still builds its
+    /// "tiered" engine with it; the next `[benchmark]` PR removes that
+    /// call, and then this method.
+    pub fn jit_threshold(self, _threshold: u64) -> EngineBuilder {
         self
     }
 
@@ -894,26 +878,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Build the engine. Fails on an unknown backend name, or on a
-    /// [`EngineBuilder::jit_threshold`] paired with a backend that has no
-    /// jit tier.
+    /// Build the engine. Fails on an unknown backend name or an unusable
+    /// persistent-cache directory.
     pub fn build(self) -> Result<Engine, FirError> {
-        let (backend, tier): ResolvedBackend = match self.backend {
-            BackendChoice::Env => {
-                Self::resolve(&registry::default_backend_name(), self.jit_threshold)?
-            }
-            BackendChoice::Named(name) => Self::resolve(&name, self.jit_threshold)?,
-            BackendChoice::Instance(backend) => {
-                if self.jit_threshold.is_some() {
-                    return Err(FirError::Unsupported {
-                        what: "jit_threshold with an explicit backend instance \
-                               (build the tiered backend with fir_jit::vm_with \
-                               and pass it directly)"
-                            .to_string(),
-                    });
-                }
-                (backend, None)
-            }
+        let backend = match self.backend {
+            BackendChoice::Env => registry::backend_by_name(&registry::default_backend_name())?,
+            BackendChoice::Named(name) => registry::backend_by_name(&name)?,
+            BackendChoice::Instance(backend) => backend,
         };
         let persistent = match self.persistent_cache {
             None => None,
@@ -927,33 +898,10 @@ impl EngineBuilder {
             Arc::from(backend),
             self.pipeline,
             self.cache_capacity,
-            tier,
             persistent,
         ))
     }
-
-    /// Resolve a backend name together with the optional jit threshold.
-    fn resolve(name: &str, threshold: Option<u64>) -> Result<ResolvedBackend, FirError> {
-        let jit = |sequential| {
-            let (b, c) =
-                registry::jit_backend(sequential, threshold.unwrap_or(fir_jit::DEFAULT_THRESHOLD));
-            Ok((b, Some(c)))
-        };
-        match name {
-            "vm-jit" | "firvm-jit" => jit(false),
-            "vm-jit-seq" | "firvm-jit-seq" => jit(true),
-            "vm" | "firvm" if threshold.is_some() => jit(false),
-            "vm-seq" | "firvm-seq" if threshold.is_some() => jit(true),
-            other if threshold.is_some() => Err(FirError::Unsupported {
-                what: format!("jit_threshold on backend `{other}` (the jit tier runs on the VM)"),
-            }),
-            other => Ok((registry::backend_by_name(other)?, None)),
-        }
-    }
 }
-
-/// A resolved backend, plus its tier counters when it is jit-tiered.
-type ResolvedBackend = (Box<dyn Backend>, Option<Arc<TierCounters>>);
 
 // ---------------------------------------------------------------------
 // Typed results
@@ -1979,57 +1927,30 @@ mod tests {
     }
 
     #[test]
-    fn jit_tier_promotes_at_exactly_the_threshold() {
-        let engine = Engine::builder()
-            .backend_name("vm-seq")
-            .jit_threshold(3)
-            .build()
-            .unwrap();
-        assert_eq!(engine.backend_name(), "firvm-jit");
-        let f = engine.compile(&dot()).unwrap();
-        let args = dot_args();
-        for run in 1..=2 {
-            f.call(&args).unwrap();
-            let t = engine.cache_stats().tier.unwrap();
-            assert_eq!(
-                (t.promotions, t.jit_hits),
-                (0, 0),
-                "run {run} is below the threshold"
-            );
-        }
-        f.call(&args).unwrap();
-        let t = engine.cache_stats().tier.unwrap();
-        assert_eq!(t.promotions, 1, "the threshold run itself promotes");
-        assert!(t.jit_hits >= 1, "the promoting run already executes jitted");
-        // Line format of the tier block in Display.
-        let line = engine.cache_stats().to_string();
-        assert!(line.contains("; jit: 1 promotion,"), "{line}");
-    }
-
-    #[test]
-    fn plain_engines_report_no_tier() {
+    fn vm_engines_count_tape_dispatches_from_the_first_call() {
         let engine = Engine::by_name("vm-seq").unwrap();
-        let stats = engine.cache_stats();
+        assert_eq!(engine.backend_name(), "firvm");
+        assert_eq!(engine.cache_stats().tier, Some(TierStats::default()));
+        let f = engine.compile(&dot()).unwrap();
+        f.call(&dot_args()).unwrap();
+        let t = engine.cache_stats().tier.unwrap();
+        assert_eq!(
+            (t.promotions, t.jit_hits, t.fallbacks),
+            (1, 1, 0),
+            "the fused redomap runs as a tape on the very first call"
+        );
+        // Line format of the tape block in Display.
+        let line = engine.cache_stats().to_string();
+        assert!(
+            line.contains("; tapes: 1 taped program, 1 tape dispatch, 0 generic"),
+            "{line}"
+        );
+        // The interpreter has no kernel forms to count.
+        let stats = Engine::by_name("interp-seq").unwrap().cache_stats();
         assert_eq!(stats.tier, None);
-        assert!(!stats.to_string().contains("jit"));
-    }
-
-    #[test]
-    fn jit_threshold_on_a_tierless_backend_is_an_error() {
-        assert!(matches!(
-            Engine::builder()
-                .backend_name("interp")
-                .jit_threshold(4)
-                .build(),
-            Err(FirError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            Engine::builder()
-                .backend(Box::new(firvm::Vm::sequential()))
-                .jit_threshold(4)
-                .build(),
-            Err(FirError::Unsupported { .. })
-        ));
+        assert!(!stats.to_string().contains("tapes"));
+        // The tier's backend names went with it: two VMs, two interpreters.
+        assert_eq!(crate::BACKEND_NAMES.len(), 4);
     }
 
     #[test]
@@ -2044,19 +1965,18 @@ mod tests {
             })
         }
         let engine = Engine::builder()
-            .backend_name("vm-jit-seq")
-            .jit_threshold(1)
+            .backend_name("vm-seq")
             .cache_capacity(2)
             .build()
             .unwrap();
         let args = vec![Value::from(vec![1.0, 2.0, 3.0])];
-        // Promote a program and its derived vjp (threshold 1: first run).
+        // A program and its derived vjp, both with tapes.
         let f1 = engine.compile(&scaled(1.5)).unwrap();
         let g = f1.grad(&args).unwrap();
         assert_eq!(g.grads[0].as_arr().f64s(), &[1.5, 1.5, 1.5]);
         assert!(engine.cache_stats().tier.unwrap().promotions >= 1);
         // A stream of distinct programs overflows the capacity-2 LRU,
-        // evicting the promoted entries.
+        // evicting the taped entries.
         for c in 0..4 {
             engine
                 .compile(&scaled(c as f64 + 10.0))
@@ -2069,10 +1989,10 @@ mod tests {
         let aliases = engine.inner.cache().aliases.len();
         assert!(
             aliases <= s.capacity,
-            "aliases of evicted promoted programs must be dropped, found {aliases}"
+            "aliases of evicted programs must be dropped, found {aliases}"
         );
         // The evicted program recompiles (a counted miss) and still runs
-        // on the jit tier, bit-identically.
+        // as tapes, bit-identically.
         let misses = s.misses;
         let hits_before = s.tier.unwrap().jit_hits;
         let f1b = engine.compile(&scaled(1.5)).unwrap();
@@ -2086,9 +2006,10 @@ mod tests {
     #[test]
     fn jit_unsupported_expressions_fall_back_with_identical_results() {
         // The kernel constructs an array in its body (`iota`) and gathers
-        // through it — array construction is permanently outside the jit's
-        // tape fragment — so the tier must decline per-kernel and the VM
-        // must produce the result, bitwise-identical to a plain VM engine.
+        // through it — array construction is outside the tape fragment —
+        // so that kernel runs as generic bytecode while the reduce next to
+        // it (unfused: no pipeline) runs as a tape, bitwise-identical to
+        // the interpreter.
         let mut b = Builder::new();
         let f = b.build_fun("gather", &[Type::arr_f64(1), Type::arr_f64(1)], |b, ps| {
             let y = b.map1(Type::arr_f64(1), &[ps[0]], |b, es| {
@@ -2106,13 +2027,11 @@ mod tests {
             Value::from(vec![0.0, 1.0, 2.0, 4.0, 5.0]),
             Value::from(vec![10.0, 20.0, 30.0]),
         ];
-        let plain = Engine::by_name("vm-seq").unwrap();
-        let want = plain.compile(&f).unwrap().call(&args).unwrap();
-        let engine = Engine::builder()
-            .backend_name("vm-seq")
-            .jit_threshold(1)
-            .build()
-            .unwrap();
+        let oracle = Engine::by_name("interp-seq").unwrap();
+        let want = oracle.compile(&f).unwrap().call(&args).unwrap();
+        let engine = Engine::by_name("vm-seq")
+            .unwrap()
+            .with_pipeline(PassPipeline::none());
         let cf = engine.compile(&f).unwrap();
         for _ in 0..3 {
             let got = cf.call(&args).unwrap();
@@ -2120,7 +2039,11 @@ mod tests {
         }
         let t = engine.cache_stats().tier.unwrap();
         assert_eq!(t.promotions, 1);
-        assert!(t.fallbacks >= 1, "the gather kernel must fall back: {t:?}");
+        assert_eq!(
+            (t.jit_hits, t.fallbacks),
+            (3, 3),
+            "the reduce runs as a tape, the gather kernel generically: {t:?}"
+        );
     }
 
     #[test]

@@ -4,26 +4,14 @@
 //! [`BACKEND_NAMES`] maps to a backend here, and an unknown name is an
 //! error listing them rather than a panic.
 
-use std::sync::Arc;
-
-use firvm::{TierCounters, Vm};
-use interp::{Backend, ExecConfig, Interp};
+use firvm::Vm;
+use interp::{Backend, Interp};
 
 use crate::error::FirError;
 
 /// Every registered backend name (canonical spellings; `"firvm"` and
-/// `"firvm-seq"` are accepted as aliases of `"vm"` and `"vm-seq"`). The
-/// `-jit` variants are the VM with the `fir-jit` specialization tier on
-/// top (default hotness threshold; use [`crate::EngineBuilder`] to tune
-/// it).
-pub const BACKEND_NAMES: &[&str] = &[
-    "vm",
-    "vm-seq",
-    "vm-jit",
-    "vm-jit-seq",
-    "interp",
-    "interp-seq",
-];
+/// `"firvm-seq"` are accepted as aliases of `"vm"` and `"vm-seq"`).
+pub const BACKEND_NAMES: &[&str] = &["vm", "vm-seq", "interp", "interp-seq"];
 
 /// The environment variable naming the default backend.
 pub const BACKEND_ENV_VAR: &str = "FIR_BACKEND";
@@ -34,8 +22,6 @@ pub fn backend_by_name(name: &str) -> Result<Box<dyn Backend>, FirError> {
     match name {
         "vm" | "firvm" => Ok(Box::new(Vm::new())),
         "vm-seq" | "firvm-seq" => Ok(Box::new(Vm::sequential())),
-        "vm-jit" | "firvm-jit" => Ok(jit_backend(false, fir_jit::DEFAULT_THRESHOLD).0),
-        "vm-jit-seq" | "firvm-jit-seq" => Ok(jit_backend(true, fir_jit::DEFAULT_THRESHOLD).0),
         "interp" => Ok(Box::new(Interp::new())),
         "interp-seq" => Ok(Box::new(Interp::sequential())),
         other => Err(FirError::UnknownBackend {
@@ -43,25 +29,6 @@ pub fn backend_by_name(name: &str) -> Result<Box<dyn Backend>, FirError> {
             known: BACKEND_NAMES,
         }),
     }
-}
-
-/// A tiered (jit-promoting) VM backend alongside its tier counters, so the
-/// engine that owns the backend can surface promotions/hits/fallbacks in
-/// its [`crate::CacheStats`]. The VM gets a private program cache
-/// (`fir_jit::vm_with`), which keeps run counts — and therefore promotion
-/// timing — deterministic per engine.
-pub(crate) fn jit_backend(
-    sequential: bool,
-    threshold: u64,
-) -> (Box<dyn Backend>, Arc<TierCounters>) {
-    let tier = fir_jit::tier_config(threshold);
-    let counters = Arc::clone(&tier.counters);
-    let cfg = if sequential {
-        ExecConfig::sequential()
-    } else {
-        ExecConfig::default()
-    };
-    (Box::new(fir_jit::vm_with(cfg, tier)), counters)
 }
 
 /// The backend name selected by `FIR_BACKEND`, defaulting to the compiled

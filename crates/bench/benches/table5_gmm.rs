@@ -4,8 +4,8 @@
 //! overheads (gradient time / objective time), mirroring Tables 5b/5c.
 
 use ad_bench::{
-    compare_backends, compare_batch, compare_jit, compare_pipelines, engine, header, ms, ratio,
-    row, time_secs, Report, BACKEND_COLS, BATCH_COLS, JIT_COLS, PIPELINE_COLS,
+    compare_backends, compare_batch, compare_pipelines, engine, header, ms, ratio, row, time_secs,
+    Report, BACKEND_COLS, BATCH_COLS, PIPELINE_COLS,
 };
 use interp::Value;
 use workloads::gmm;
@@ -97,20 +97,6 @@ fn main() {
     // The optimizer's impact on the gradient program (fusion + CSE +
     // hoisting + simplification vs raw AD output), sequential VM.
     compare_pipelines(
-        &mut report,
-        "GMM D5 (500, 32, 25)",
-        &fun,
-        &big.ir_args(),
-        reps,
-    );
-
-    header(
-        "Table 5 execution tiers: plain VM vs the fir-jit specialization tier",
-        &JIT_COLS,
-    );
-    // The same D5 dataset through the hot-program tier: the SOAC kernels
-    // of the objective and its vjp run as monomorphic native tapes.
-    compare_jit(
         &mut report,
         "GMM D5 (500, 32, 25)",
         &fun,

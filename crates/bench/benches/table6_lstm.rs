@@ -5,8 +5,8 @@
 //! reported factors are printed for reference.
 
 use ad_bench::{
-    compare_backends, compare_jit, compare_pipelines, engine, header, ms, ratio, row, time_secs,
-    Report, BACKEND_COLS, JIT_COLS, PIPELINE_COLS,
+    compare_backends, compare_pipelines, engine, header, ms, ratio, row, time_secs, Report,
+    BACKEND_COLS, PIPELINE_COLS,
 };
 use workloads::lstm;
 
@@ -100,16 +100,5 @@ fn main() {
         reps,
     );
 
-    header(
-        "Table 6 execution tiers: plain VM vs the fir-jit specialization tier",
-        &JIT_COLS,
-    );
-    compare_jit(
-        &mut report,
-        "LSTM D1 (16, 20, 12, 16)",
-        &lstm::objective_ir(big.h, big.bs),
-        &big.ir_args(),
-        reps,
-    );
     report.write();
 }

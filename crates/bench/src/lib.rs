@@ -324,81 +324,6 @@ pub const PIPELINE_COLS: [&str; 5] = [
     "gradient stms",
 ];
 
-// ---------------------------------------------------------------------
-// Execution tiers (plain VM vs the fir-jit specialization tier)
-// ---------------------------------------------------------------------
-
-/// Print (and record) the execution-tier comparison for one workload:
-/// primal and reverse-mode gradient wall-clock on the plain sequential VM
-/// vs. the jit-tiered VM with a hotness threshold of 1 (every program
-/// promotes on its warm-up run, so the timed reps all execute on the
-/// native tier where supported). Results are bitwise-identical by the
-/// tier's contract — the opt-fuzz harness pins it — and both engines are
-/// sequential, so the row isolates the specialization itself. The tier
-/// counters land in the JSON row so a silently all-fallback run cannot
-/// masquerade as a measurement of the jit. Returns the gradient-time
-/// speedup of the jit tier over the VM.
-pub fn compare_jit(
-    report: &mut Report,
-    label: &str,
-    fun: &Fun,
-    args: &[Value],
-    reps: usize,
-) -> f64 {
-    let cv = engine("vm-seq").compile(fun).expect("compile (vm)");
-    let jit_engine = Engine::builder()
-        .backend_name("vm-seq")
-        .jit_threshold(1)
-        .build()
-        .expect("jit engine");
-    let cj = jit_engine.compile(fun).expect("compile (jit)");
-    let tv = time_backend(&cv, args, reps);
-    let tj = time_backend(&cj, args, reps);
-    let primal_speedup = tv.primal_secs / tj.primal_secs;
-    let grad_speedup = tv.grad_secs / tj.grad_secs;
-    let tier = jit_engine.cache_stats().tier.unwrap_or_default();
-    row(&[
-        label.to_string(),
-        ms(tv.primal_secs),
-        ms(tj.primal_secs),
-        ratio(primal_speedup),
-        ms(tv.grad_secs),
-        ms(tj.grad_secs),
-        ratio(grad_speedup),
-        format!(
-            "{}p/{}h/{}f",
-            tier.promotions, tier.jit_hits, tier.fallbacks
-        ),
-    ]);
-    report.add(
-        &format!("jit:{label}"),
-        &[
-            ("vm_primal_s", tv.primal_secs),
-            ("jit_primal_s", tj.primal_secs),
-            ("jit_primal_speedup", primal_speedup),
-            ("vm_grad_s", tv.grad_secs),
-            ("jit_grad_s", tj.grad_secs),
-            ("jit_grad_speedup", grad_speedup),
-            ("promotions", tier.promotions as f64),
-            ("jit_hits", tier.jit_hits as f64),
-            ("fallbacks", tier.fallbacks as f64),
-        ],
-    );
-    grad_speedup
-}
-
-/// The column names matching [`compare_jit`] rows.
-pub const JIT_COLS: [&str; 8] = [
-    "workload",
-    "vm primal",
-    "jit primal",
-    "jit primal speedup",
-    "vm grad",
-    "jit grad",
-    "jit grad speedup",
-    "tier (promotions/hits/fallbacks)",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,8 +19,8 @@
 //! What is stored: the entry's source [`Fun`] (the already-derived IR for
 //! transform entries, so loading a gradient skips re-deriving it), the
 //! optimized IR (when the pipeline changed it), and the compiled
-//! [`Program`]. What is *not* stored: jit tier promotion state — a loaded
-//! program always starts cold at run count zero.
+//! [`Program`]'s bytecode. What is *not* stored: the program's tapes —
+//! `Program::assemble` re-derives them from the bytecode on load.
 
 use std::fs;
 use std::io;

@@ -13,9 +13,10 @@
 //! associative operators, prefix sums, `if` over scalar conditions,
 //! bounded sequential `loop`s, and `copy` + constant-index `update`
 //! pairs (fodder for the memory-planning pass's in-place lowering). Every rank-1 array in a generated program
-//! shares one outer length and every rank-2 array one shape, and indices
-//! are constants within bounds or clamped into them, so programs never
-//! trap at runtime.
+//! shares one outer length — zero in one program out of eight — and every
+//! rank-2 array one shape, and indices are constants within bounds or
+//! clamped into them (and not generated over empty arrays), so programs
+//! never trap at runtime.
 //!
 //! Determinism: generation consumes only the caller's [`TestRng`] (the
 //! fixed-seed splitmix64 stream of the vendored `proptest` stand-in), so a
@@ -80,7 +81,14 @@ impl GenConfig {
 /// it anyway) and runs without panicking on the returned arguments on every
 /// backend.
 pub fn arbitrary_fun(name: &str, rng: &mut TestRng, cfg: &GenConfig) -> (Fun, Vec<Value>) {
-    let n = rng.below(2, 5); // shared rank-1 length
+    // The shared rank-1 length (and outer length of rank-2 arrays): one
+    // program in eight is generated over zero-extent arrays, so every
+    // executor's empty-SOAC conventions face the differential harnesses.
+    let n = if rng.below(0, 8) == 0 {
+        0
+    } else {
+        rng.below(2, 5)
+    };
     let m = rng.below(2, 4); // shared inner length of rank-2 arrays
     let num_f64 = rng.below(1, 3);
     let num_arr1 = rng.below(1, 3);
@@ -293,7 +301,7 @@ impl Gen<'_> {
                 self.arr1.push(out);
             }
             // Constant in-bounds index.
-            6 if has_arr1 && self.cfg.smooth => {
+            6 if has_arr1 && self.cfg.smooth && self.n > 0 => {
                 let i = self.pick(self.arr1.len());
                 let arr = self.arr1[i];
                 let c = self.rng.below(0, self.n) as i64;
@@ -312,7 +320,7 @@ impl Gen<'_> {
             // Scalar `if` (non-smooth: a kink) or a constant index (smooth).
             8 => {
                 if self.cfg.smooth {
-                    if has_arr1 {
+                    if has_arr1 && self.n > 0 {
                         let i = self.pick(self.arr1.len());
                         let arr = self.arr1[i];
                         let c = self.rng.below(0, self.n) as i64;
@@ -403,7 +411,7 @@ impl Gen<'_> {
             // Copy then constant-index update: the functional in-place
             // pair the memory planner rewrites into a true in-place write
             // whenever the copy's source is dead after the update.
-            11 if has_arr1 => {
+            11 if has_arr1 && self.n > 0 => {
                 let i = self.pick(self.arr1.len());
                 let arr = self.arr1[i];
                 let y = b.copy(arr);
@@ -491,6 +499,26 @@ mod tests {
     /// the pattern `forward_row_reads` rewrites, with and without a loop
     /// around the gather — otherwise the fuzz square never holds the
     /// rewrite to its bitwise contract.
+    #[test]
+    fn corpora_contain_zero_extent_programs() {
+        // Both fuzz corpora (256 default, 64 smooth programs off the
+        // deterministic stream) must include programs over empty arrays,
+        // and those must run.
+        for (cfg, cases) in [(GenConfig::default(), 256), (GenConfig::smooth(), 64)] {
+            let mut rng = TestRng::deterministic();
+            let mut empty = 0;
+            for i in 0..cases {
+                let (fun, args) = arbitrary_fun(&format!("z{i}"), &mut rng, &cfg);
+                let is_empty = |v: &Value| matches!(v, Value::Arr(a) if a.is_empty());
+                if args.iter().any(is_empty) {
+                    empty += 1;
+                    Interp::sequential().run(&fun, &args);
+                }
+            }
+            assert!(empty >= cases / 16, "{empty} of {cases} programs are empty");
+        }
+    }
+
     #[test]
     fn corpora_contain_gathers_on_map_rows() {
         use fir::ir::{Body, Exp};

@@ -11,6 +11,7 @@
 use fir::ir::{BinOp, ReduceOp, UnOp};
 
 use crate::kernel::Kernel;
+use crate::tape::{lower_program, KernelForm, Lowered};
 
 /// A register index into the current frame.
 pub type Reg = u32;
@@ -170,24 +171,42 @@ pub struct CodeObject {
 }
 
 /// A fully compiled function: the main code object, every SOAC kernel it
-/// (transitively) contains, and the parameter count for frame setup.
-#[derive(Debug, Clone, PartialEq)]
+/// (transitively) contains, and the parameter count for frame setup —
+/// plus what `tape::lower_program` derives from those: a monomorphic tape for
+/// every kernel that has one (the form the VM runs it in) and a reason for
+/// every kernel that does not.
+#[derive(Debug, Clone)]
 pub struct Program {
     pub name: String,
     pub main: CodeObject,
     pub kernels: Vec<Kernel>,
     pub num_params: usize,
+    /// Tapes, fallback reasons and main-body regions. Derived, never
+    /// serialized, and not part of a program's identity.
+    pub(crate) lowered: Lowered,
     /// Per-kernel trace labels (`"<name>#k<i>"`), interned at compile time
     /// so the per-dispatch span cost is two timestamps and a ring push.
     #[cfg(feature = "profile")]
     pub kernel_labels: Vec<&'static str>,
 }
 
+impl PartialEq for Program {
+    /// Equality of the bytecode; tapes are a function of it.
+    fn eq(&self, other: &Program) -> bool {
+        self.name == other.name
+            && self.main == other.main
+            && self.kernels == other.kernels
+            && self.num_params == other.num_params
+    }
+}
+
 impl Program {
     /// Assemble a program from parts (the persistent-cache decode path).
-    /// Kernel trace labels are re-interned here rather than carried in the
-    /// serialized form, so the on-disk format is identical with and without
-    /// the `profile` feature.
+    /// Tapes and kernel trace labels are re-derived here rather than
+    /// carried in the serialized form, so the on-disk format holds bytecode
+    /// only and is identical with and without the `profile` feature. The
+    /// parts may be unvalidated (the decoder validates the assembled
+    /// program): lowering rejects malformed kernels instead of panicking.
     pub fn assemble(
         name: String,
         main: CodeObject,
@@ -199,6 +218,7 @@ impl Program {
             .map(|i| fir_trace::intern(&format!("{name}#k{i}")))
             .collect();
         Program {
+            lowered: lower_program(&main, &kernels),
             name,
             main,
             kernels,
@@ -206,6 +226,35 @@ impl Program {
             #[cfg(feature = "profile")]
             kernel_labels,
         }
+    }
+
+    /// The form each kernel runs in: a tape, or generic bytecode and why.
+    /// A kernel slower than its neighbours is usually a `Generic` one.
+    pub fn tape_report(&self) -> Vec<KernelForm> {
+        let form = |k: &Result<_, _>| match k {
+            Ok(_) => KernelForm::Tape,
+            Err(why) => KernelForm::Generic(*why),
+        };
+        self.lowered.kernels.iter().map(form).collect()
+    }
+
+    /// How many kernels have a tape.
+    pub fn num_tapes(&self) -> usize {
+        self.lowered.kernels.iter().filter(|k| k.is_ok()).count()
+    }
+
+    /// This program with every tape and region dropped, so that all of it
+    /// runs as generic bytecode — the reference the tape executor is held
+    /// bitwise equal to.
+    #[cfg(test)]
+    pub(crate) fn without_tapes(&self) -> Program {
+        let mut generic = self.clone();
+        for k in &mut generic.lowered.kernels {
+            *k = Err(crate::tape::Fallback::Malformed);
+        }
+        generic.lowered.regions.clear();
+        generic.lowered.region_starts.clear();
+        generic
     }
 
     /// The trace label of kernel `i`.

@@ -18,17 +18,14 @@ use fir::ir::{Atom, Body, Const, Exp, Fun, Lambda, Param, Stm};
 
 use crate::bytecode::Program;
 use crate::compile::compile;
-use crate::tier::TierSlot;
 
 /// All distinct programs sharing one primary fingerprint, disambiguated by
 /// an independent secondary fingerprint. Identity needs 128 matching hash
 /// bits, so collisions are out of reach; hashing (over `f64::to_bits`) also
 /// identifies NaN constants correctly, which derived `PartialEq` on `Fun`
 /// would not (a NaN-containing function would never equal itself and would
-/// recompile on every run). Each entry carries the program's [`TierSlot`]
-/// (run counter + jit promotion state), so hotness accumulates across
-/// identical rebuilds of a function just like compilation does.
-type FingerprintBucket = Vec<(u64, Arc<Program>, Arc<TierSlot>)>;
+/// recompile on every run).
+type FingerprintBucket = Vec<(u64, Arc<Program>)>;
 
 /// Default capacity bound: enough for every workload, AD transform and
 /// benchmark in this repository at once, small enough that a process
@@ -84,78 +81,52 @@ impl ProgramCache {
 
     /// Fetch the compiled program for `fun`, compiling on first sight.
     pub fn get_or_compile(&self, fun: &Fun) -> Arc<Program> {
-        self.get_or_compile_entry(fun).0
-    }
-
-    /// Like [`get_or_compile`](ProgramCache::get_or_compile), but also
-    /// returns the program's [`TierSlot`] so the caller can count this
-    /// execution toward jit promotion.
-    pub fn get_or_compile_entry(&self, fun: &Fun) -> (Arc<Program>, Arc<TierSlot>) {
         let key = fingerprint_salted(fun, 0);
         let key2 = fingerprint_salted(fun, 1);
         {
             let map = self.map.lock().unwrap();
             if let Some(entries) = map.get(&key) {
-                for (fp2, prog, slot) in entries {
+                for (fp2, prog) in entries {
                     if *fp2 == key2 {
-                        return (Arc::clone(prog), Arc::clone(slot));
+                        return Arc::clone(prog);
                     }
                 }
             }
         }
         // Compile outside the lock: compilation can be slow and other
         // threads may want unrelated programs meanwhile.
-        let prog = Arc::new(compile(fun));
-        let slot = Arc::new(TierSlot::default());
+        self.insert(key, key2, compile(fun))
+    }
+
+    /// Insert an externally compiled program (e.g. decoded from a
+    /// persistent on-disk cache) under `fun`'s fingerprint. On a race with
+    /// a concurrent compile or adopt of the same function, the first entry
+    /// wins and is returned.
+    pub fn adopt(&self, fun: &Fun, prog: Program) -> Arc<Program> {
+        self.insert(fingerprint_salted(fun, 0), fingerprint_salted(fun, 1), prog)
+    }
+
+    fn insert(&self, key: u64, key2: u64, prog: Program) -> Arc<Program> {
+        let prog = Arc::new(prog);
         let mut map = self.map.lock().unwrap();
         let entries = map.entry(key).or_default();
-        // Re-check: another thread may have compiled the same function.
-        for (fp2, cached, cached_slot) in entries.iter() {
+        // Re-check: another thread may have inserted the same function.
+        for (fp2, cached) in entries.iter() {
             if *fp2 == key2 {
-                return (Arc::clone(cached), Arc::clone(cached_slot));
+                return Arc::clone(cached);
             }
         }
-        entries.push((key2, Arc::clone(&prog), Arc::clone(&slot)));
+        entries.push((key2, Arc::clone(&prog)));
         let total: usize = map.values().map(|v| v.len()).sum();
         if total > self.capacity {
             // Bound the cache: flush everything but the entry just
             // inserted. Outstanding Arc<Program> handles stay valid.
             map.retain(|_, v| {
-                v.retain(|(_, p, _)| Arc::ptr_eq(p, &prog));
+                v.retain(|(_, p)| Arc::ptr_eq(p, &prog));
                 !v.is_empty()
             });
         }
-        (prog, slot)
-    }
-
-    /// Insert an externally compiled program (e.g. decoded from a
-    /// persistent on-disk cache) under `fun`'s fingerprint. The program
-    /// gets a **fresh** [`TierSlot`]: adopted programs start cold at run
-    /// count 0 and re-promote through the jit tier like freshly compiled
-    /// ones — promotion state is never persisted. On a race with a
-    /// concurrent compile or adopt of the same function, the first entry
-    /// wins and is returned (with its accumulated hotness).
-    pub fn adopt(&self, fun: &Fun, prog: Program) -> (Arc<Program>, Arc<TierSlot>) {
-        let key = fingerprint_salted(fun, 0);
-        let key2 = fingerprint_salted(fun, 1);
-        let prog = Arc::new(prog);
-        let slot = Arc::new(TierSlot::default());
-        let mut map = self.map.lock().unwrap();
-        let entries = map.entry(key).or_default();
-        for (fp2, cached, cached_slot) in entries.iter() {
-            if *fp2 == key2 {
-                return (Arc::clone(cached), Arc::clone(cached_slot));
-            }
-        }
-        entries.push((key2, Arc::clone(&prog), Arc::clone(&slot)));
-        let total: usize = map.values().map(|v| v.len()).sum();
-        if total > self.capacity {
-            map.retain(|_, v| {
-                v.retain(|(_, p, _)| Arc::ptr_eq(p, &prog));
-                !v.is_empty()
-            });
-        }
-        (prog, slot)
+        prog
     }
 }
 

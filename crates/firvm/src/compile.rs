@@ -13,7 +13,9 @@
 //!   [`Kernel`] with its free variables turned into capture registers,
 //!   resolved at the call site. Re-running a kernel for the next element is
 //!   a frame write plus a jump to instruction 0 — the IR tree is never
-//!   walked again.
+//!   walked again. Every kernel whose body fits is then lowered once more,
+//!   to a monomorphic tape (`tape.rs`) — the form the VM runs it in;
+//!   the rest keep a recorded reason and run as the bytecode compiled here.
 //! * **Consume analysis** — `update`/`scatter` destinations are consumed
 //!   (moved out of their register, enabling in-place mutation) exactly when
 //!   the interpreter's uniqueness semantics would take them from the
@@ -41,9 +43,11 @@ pub fn compile(fun: &Fun) -> Program {
         fc.define(p.var);
     }
     let ret = fc.compile_body(&mut kernels, &fun.body);
+    let main = fc.finish(ret);
     Program {
         name: fun.name.clone(),
-        main: fc.finish(ret),
+        lowered: crate::tape::lower_program(&main, &kernels),
+        main,
         #[cfg(feature = "profile")]
         kernel_labels: (0..kernels.len())
             .map(|i| fir_trace::intern(&format!("{}#k{i}", fun.name)))

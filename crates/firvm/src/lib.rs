@@ -4,7 +4,7 @@
 //! The paper's headline numbers come from executing AD-transformed IR on an
 //! aggressively optimizing bulk-parallel backend; a tree-walking interpreter
 //! caps every benchmark at dispatch overhead instead. This crate is the
-//! compiled CPU backend of the reproduction:
+//! compiled CPU backend of the reproduction — one VM, one kernel form:
 //!
 //! * [`compile`](compile::compile) lowers a type-checked [`Fun`] into a flat
 //!   register [`Program`]: variable slots are resolved at
@@ -12,9 +12,18 @@
 //!   jumps within one frame, and every SOAC lambda becomes a reusable
 //!   [`Kernel`] whose free variables are captured once per
 //!   SOAC invocation instead of re-resolved per element.
-//! * [`vm`] executes programs, scheduling parallel SOAC chunks on the
-//!   persistent [`WorkerPool`](interp::WorkerPool) shared with the
-//!   interpreter — no thread spawn per SOAC.
+//! * `tape` then lowers every kernel whose body fits — and every
+//!   straight-line scalar run of the main body — to a **monomorphic tape**
+//!   over flat `f64`/`bool`/`i64` register files, from the first call: no
+//!   hotness counting, no second tier. A kernel outside the fragment keeps
+//!   a [`Fallback`] reason ([`Program::tape_report`]) and runs as generic
+//!   bytecode — the one fallback.
+//! * [`vm`] executes programs: tapes on the 4-lane executor in `exec`
+//!   (arguments borrowed from the frame, nothing allocated but outputs),
+//!   everything else instruction by instruction, both scheduling parallel
+//!   SOAC chunks on the persistent [`WorkerPool`](interp::WorkerPool)
+//!   shared with the interpreter — no thread spawn per SOAC — and both
+//!   bitwise equal (same chunking, same fold and combine order).
 //! * [`cache`] memoizes compilation by structural fingerprint, so the
 //!   outputs of `vjp`/`jvp` compile once and run many times.
 //!
@@ -45,12 +54,15 @@
 pub mod bytecode;
 pub mod cache;
 pub mod compile;
+mod exec;
 pub mod kernel;
 pub mod pool;
-pub mod tier;
+mod region;
+mod tape;
 pub mod vm;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fir::ir::Fun;
@@ -61,41 +73,48 @@ pub use bytecode::Program;
 pub use cache::{fingerprint_pair, ProgramCache};
 pub use compile::compile;
 pub use kernel::Kernel;
-pub use tier::{SoacAccel, TierConfig, TierCounters, TierSlot};
+pub use tape::{Fallback, KernelForm};
+pub use vm::DispatchCounts;
 
-use tier::TierRef;
+/// What a [`Vm`] (and its clones) has prepared and run so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TapeStats {
+    /// Programs prepared with at least one tape.
+    pub taped_programs: usize,
+    /// SOAC dispatches and main-body regions run as tapes.
+    pub tape_dispatches: usize,
+    /// SOAC dispatches and main-body regions run as generic bytecode.
+    pub generic_dispatches: usize,
+}
+
+#[derive(Debug, Default)]
+struct Counters {
+    taped_programs: AtomicUsize,
+    tape_dispatches: AtomicUsize,
+    generic_dispatches: AtomicUsize,
+}
 
 /// The bytecode VM backend: compiles on first sight (through the shared
 /// [`ProgramCache`], or a scoped one via [`Vm::with_cache`]) and executes
-/// on the persistent worker pool. With a [`TierConfig`] attached
-/// ([`Vm::with_tier`]) it becomes the tiered VM: per-program run counting
-/// and promotion of hot programs to a native specialization tier.
+/// on the persistent worker pool.
 #[derive(Debug, Clone, Default)]
 pub struct Vm {
     cfg: ExecConfig,
     /// `None` uses the bounded process-wide cache.
-    cache: Option<std::sync::Arc<ProgramCache>>,
-    /// Jit tier selection; `None` runs pure bytecode.
-    tier: Option<TierConfig>,
+    cache: Option<Arc<ProgramCache>>,
+    /// Shared by clones; runs add to it once each, not once per dispatch.
+    counters: Arc<Counters>,
 }
 
 impl Vm {
     /// A VM with the default (parallel) configuration.
     pub fn new() -> Vm {
-        Vm {
-            cfg: ExecConfig::default(),
-            cache: None,
-            tier: None,
-        }
+        Vm::with_config(ExecConfig::default())
     }
 
     /// A VM that executes every SOAC sequentially.
     pub fn sequential() -> Vm {
-        Vm {
-            cfg: ExecConfig::sequential(),
-            cache: None,
-            tier: None,
-        }
+        Vm::with_config(ExecConfig::sequential())
     }
 
     /// A VM with an explicit execution configuration.
@@ -103,30 +122,15 @@ impl Vm {
         Vm {
             cfg,
             cache: None,
-            tier: None,
+            counters: Arc::default(),
         }
     }
 
     /// Use a private program cache instead of the process-wide one (e.g. to
     /// bound the lifetime of compiled programs to a request's).
-    pub fn with_cache(mut self, cache: std::sync::Arc<ProgramCache>) -> Vm {
+    pub fn with_cache(mut self, cache: Arc<ProgramCache>) -> Vm {
         self.cache = Some(cache);
         self
-    }
-
-    /// Attach a jit tier: count runs per cached program and promote past
-    /// `tier.threshold`. Tiered VMs should also get a private cache
-    /// ([`Vm::with_cache`]) when callers want deterministic per-engine
-    /// promotion counts — the process-wide cache shares run counts across
-    /// every tiered VM in the process.
-    pub fn with_tier(mut self, tier: TierConfig) -> Vm {
-        self.tier = Some(tier);
-        self
-    }
-
-    /// The attached tier configuration, if any.
-    pub fn tier(&self) -> Option<&TierConfig> {
-        self.tier.as_ref()
     }
 
     fn cache(&self) -> &ProgramCache {
@@ -137,33 +141,46 @@ impl Vm {
 
     /// Compile (or fetch from the cache) and run `fun` on `args`.
     pub fn run(&self, fun: &Fun, args: &[Value]) -> Vec<Value> {
-        let (prog, slot) = self.cache().get_or_compile_entry(fun);
-        run_tiered(&prog, &slot, &self.cfg, self.tier.as_ref(), args)
+        self.run_program(&self.cache().get_or_compile(fun), args)
     }
 
     /// Run an already-compiled program (for callers managing their own
-    /// cache or inspecting bytecode). Bypasses run counting: programs
-    /// managed outside the cache never promote.
+    /// cache or inspecting bytecode).
     pub fn run_program(&self, prog: &Program, args: &[Value]) -> Vec<Value> {
-        vm::run_program(prog, &self.cfg, args)
+        run_counted(prog, &self.cfg, &self.counters, args)
+    }
+
+    /// Counters of this VM and its clones: programs prepared with tapes,
+    /// and how dispatches ran.
+    pub fn tape_stats(&self) -> TapeStats {
+        let c = &self.counters;
+        TapeStats {
+            taped_programs: c.taped_programs.load(Ordering::Relaxed),
+            tape_dispatches: c.tape_dispatches.load(Ordering::Relaxed),
+            generic_dispatches: c.generic_dispatches.load(Ordering::Relaxed),
+        }
     }
 
     /// Prepare an executable from an already-compiled [`Program`] (e.g.
     /// decoded from a persistent on-disk cache), adopting it into this
-    /// VM's program cache instead of compiling `fun`. The adopted program
-    /// starts with a fresh tier slot (run count 0, never pre-promoted); if
-    /// a program for `fun` is already cached, that one is used instead.
+    /// VM's program cache instead of compiling `fun`; if a program for
+    /// `fun` is already cached, that one is used instead.
     /// The caller is responsible for `prog` actually being a compilation
     /// of the type-correct `fun` — the persistent-cache load path
     /// guarantees this via fingerprint verification and decode-time
     /// structural validation.
     pub fn prepare_adopted(&self, fun: &Fun, prog: Program) -> Arc<dyn Executable> {
-        let (prog, slot) = self.cache().adopt(fun, prog);
+        self.prepared(fun, self.cache().adopt(fun, prog))
+    }
+
+    fn prepared(&self, fun: &Fun, prog: Arc<Program>) -> Arc<dyn Executable> {
+        if prog.num_tapes() > 0 {
+            self.counters.taped_programs.fetch_add(1, Ordering::Relaxed);
+        }
         Arc::new(PreparedVm {
             cfg: self.cfg.clone(),
             prog,
-            slot,
-            tier: self.tier.clone(),
+            counters: Arc::clone(&self.counters),
             name: fun.name.clone(),
             params: fun.params.iter().map(|p| p.ty).collect(),
             ret: fun.ret.clone(),
@@ -180,21 +197,19 @@ impl Vm {
     }
 }
 
-/// Count one run on `slot` and execute, through the accelerator when the
-/// program is (or just became) promoted.
-fn run_tiered(
+/// Run `prog` and add its dispatch counts to `counters` — two relaxed adds
+/// per run, none per dispatch.
+fn run_counted(
     prog: &Program,
-    slot: &TierSlot,
     cfg: &ExecConfig,
-    tier: Option<&TierConfig>,
+    counters: &Counters,
     args: &[Value],
 ) -> Vec<Value> {
-    let accel = tier.and_then(|t| slot.on_run(prog, t));
-    let tref = accel.as_deref().zip(tier).map(|(a, t)| TierRef {
-        accel: a,
-        counters: &t.counters,
-    });
-    vm::run_program_tiered(prog, cfg, args, tref)
+    let (out, counts) = vm::run_program_counted(prog, cfg, args);
+    let add = |c: &AtomicUsize, n: u64| c.fetch_add(n as usize, Ordering::Relaxed);
+    add(&counters.tape_dispatches, counts.tapes);
+    add(&counters.generic_dispatches, counts.generic);
+    out
 }
 
 /// A function compiled to bytecode, ready for repeated execution: the
@@ -202,12 +217,7 @@ fn run_tiered(
 struct PreparedVm {
     cfg: ExecConfig,
     prog: Arc<Program>,
-    /// The cached program's tier slot: prepared executions count toward
-    /// promotion exactly like `Vm::run` ones (the API layer caches
-    /// executables, so this is where hot programs actually accumulate
-    /// their run counts).
-    slot: Arc<TierSlot>,
-    tier: Option<TierConfig>,
+    counters: Arc<Counters>,
     name: String,
     params: Vec<Type>,
     ret: Vec<Type>,
@@ -229,7 +239,7 @@ impl Executable for PreparedVm {
     fn run(&self, args: &[Value]) -> Result<Vec<Value>, ExecError> {
         validate_args(&self.name, &self.params, args)?;
         catch_unwind(AssertUnwindSafe(|| {
-            run_tiered(&self.prog, &self.slot, &self.cfg, self.tier.as_ref(), args)
+            run_counted(&self.prog, &self.cfg, &self.counters, args)
         }))
         .map_err(|p| ExecError::Runtime {
             fun: self.name.clone(),
@@ -244,11 +254,7 @@ impl Executable for PreparedVm {
 
 impl Backend for Vm {
     fn name(&self) -> &'static str {
-        if self.tier.is_some() {
-            "firvm-jit"
-        } else {
-            "firvm"
-        }
+        "firvm"
     }
 
     fn prepare(&self, fun: &Fun) -> Result<Arc<dyn Executable>, ExecError> {
@@ -256,22 +262,14 @@ impl Backend for Vm {
         // Compilation of a type-checked function must not fail; a panic
         // here is a compiler bug, reported as a runtime error rather than
         // unwinding through the caller.
-        let (prog, slot) =
-            catch_unwind(AssertUnwindSafe(|| self.cache().get_or_compile_entry(fun))).map_err(
-                |p| ExecError::Runtime {
+        let prog =
+            catch_unwind(AssertUnwindSafe(|| self.cache().get_or_compile(fun))).map_err(|p| {
+                ExecError::Runtime {
                     fun: fun.name.clone(),
                     message: interp::error::panic_message(p),
-                },
-            )?;
-        Ok(Arc::new(PreparedVm {
-            cfg: self.cfg.clone(),
-            prog,
-            slot,
-            tier: self.tier.clone(),
-            name: fun.name.clone(),
-            params: fun.params.iter().map(|p| p.ty).collect(),
-            ret: fun.ret.clone(),
-        }))
+                }
+            })?;
+        Ok(self.prepared(fun, prog))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -628,5 +626,353 @@ mod tests {
         ));
         // Running again does not recompile.
         assert_eq!(cache.len(), 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Tapes against generic bytecode: the same program run with its tapes
+    // and with them dropped must agree bit for bit, sequentially and under
+    // forced chunking.
+    // -----------------------------------------------------------------
+
+    fn assert_bitwise_eq(a: &[Value], b: &[Value]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            match (x, y) {
+                (Value::F64(u), Value::F64(w)) => {
+                    assert_eq!(u.to_bits(), w.to_bits(), "{u} vs {w}")
+                }
+                (Value::I64(u), Value::I64(w)) => assert_eq!(u, w),
+                (Value::Bool(u), Value::Bool(w)) => assert_eq!(u, w),
+                (Value::Arr(u), Value::Arr(w)) => {
+                    assert_eq!(u.shape, w.shape);
+                    assert_eq!(u.elem(), w.elem());
+                    match u.elem() {
+                        fir::types::ScalarType::F64 => {
+                            for (p, q) in u.f64s().iter().zip(w.f64s()) {
+                                assert_eq!(p.to_bits(), q.to_bits(), "{p} vs {q}");
+                            }
+                        }
+                        fir::types::ScalarType::I64 => assert_eq!(u.i64s(), w.i64s()),
+                        fir::types::ScalarType::Bool => assert_eq!(u.bools(), w.bools()),
+                    }
+                }
+                _ => panic!("value kind mismatch: {x:?} vs {y:?}"),
+            }
+        }
+    }
+
+    /// Run `fun` with its tapes and as all-generic bytecode (sequentially
+    /// and under a low-threshold parallel configuration), require bitwise
+    /// agreement, and return the sequential taped run's dispatch counts.
+    fn assert_tape_parity(fun: &Fun, args: &[Value]) -> DispatchCounts {
+        let prog = compile(fun);
+        let generic = prog.without_tapes();
+        let seq = ExecConfig::sequential();
+        let (taped, counts) = vm::run_program_counted(&prog, &seq, args);
+        let (plain, plain_counts) = vm::run_program_counted(&generic, &seq, args);
+        assert_bitwise_eq(&plain, &taped);
+        assert_eq!(plain_counts.tapes, 0, "the reference must not run tapes");
+
+        let par = ExecConfig {
+            parallel: true,
+            num_threads: 4,
+            parallel_threshold: 8,
+        };
+        assert_bitwise_eq(
+            &vm::run_program(&generic, &par, args),
+            &vm::run_program(&prog, &par, args),
+        );
+        counts
+    }
+
+    fn data(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (i as f64) * 0.37 - 3.0).collect()
+    }
+
+    #[test]
+    fn map_kernels_match_bitwise_including_tails() {
+        let mut b = Builder::new();
+        let f = b.build_fun("act", &[Type::arr_f64(1), Type::F64], |b, ps| {
+            let y = b.map1(Type::arr_f64(1), &[ps[0]], |b, es| {
+                let s = b.fsigmoid(es[0].into());
+                let t = b.ftanh(s);
+                let c = b.lt(t, Atom::f64(0.25));
+                let sel = b.select(c, Atom::f64(-1.0), t);
+                vec![b.fmul(sel, ps[1].into())]
+            });
+            vec![Atom::Var(y)]
+        });
+        // Lengths around the 4-lane block edge, plus empty.
+        for n in [0usize, 1, 3, 4, 5, 8, 17, 100] {
+            let counts = assert_tape_parity(&f, &[Value::from(data(n)), Value::F64(1.75)]);
+            assert_eq!((counts.tapes, counts.generic), (1, 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn reduce_and_redomap_keep_the_vm_accumulation_order() {
+        let mut b = Builder::new();
+        let f = b.build_fun("sumsq", &[Type::arr_f64(1)], |b, ps| {
+            let sq = b.map1(Type::arr_f64(1), &[ps[0]], |b, es| {
+                vec![b.fmul(es[0].into(), es[0].into())]
+            });
+            let s = b.sum(sq);
+            let m = b.maximum(ps[0]);
+            vec![Atom::Var(s), Atom::Var(m)]
+        });
+        for n in [0usize, 1, 5, 7, 100, 10_000] {
+            let counts = assert_tape_parity(&f, &[Value::from(data(n))]);
+            assert_eq!((counts.tapes, counts.generic), (3, 0), "n = {n}");
+        }
+        // The fused form (redomap) after SOAC fusion.
+        let fused = fir_opt::fuse_soacs(&f);
+        for n in [0usize, 1, 5, 7, 100, 10_000] {
+            let counts = assert_tape_parity(&fused, &[Value::from(data(n))]);
+            assert_eq!((counts.tapes, counts.generic), (2, 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn scans_stay_sequential_and_bitwise() {
+        let mut b = Builder::new();
+        let f = b.build_fun("cumsum", &[Type::arr_f64(1)], |b, ps| {
+            vec![Atom::Var(b.scan_add(ps[0]))]
+        });
+        for n in [0usize, 1, 4, 9, 1000] {
+            let counts = assert_tape_parity(&f, &[Value::from(data(n))]);
+            assert_eq!((counts.tapes, counts.generic), (1, 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn unsupported_kernels_fall_back_per_kernel() {
+        // The inner kernel constructs an array in its body (iota) — array
+        // construction is outside the tape fragment — while the sibling
+        // kernel is pure scalar math. The scalar kernel must still run as a
+        // tape, the other as generic bytecode with its reason on record,
+        // and the whole must match the all-generic run bitwise.
+        let mut b = Builder::new();
+        let f = b.build_fun("mixed", &[Type::arr_f64(1)], |b, ps| {
+            let gathered = b.map1(Type::arr_f64(1), &[ps[0]], |b, es| {
+                let i = b.to_i64(es[0].into());
+                let im = b.irem(i, Atom::i64(4));
+                let tbl = b.iota(Atom::i64(4));
+                let e = b.index(tbl, &[im]);
+                vec![b.to_f64(e.into())]
+            });
+            let scaled = b.map1(Type::arr_f64(1), &[gathered], |b, es| {
+                let e = b.fexp(es[0].into());
+                vec![b.fadd(e, Atom::f64(0.5))]
+            });
+            vec![Atom::Var(scaled)]
+        });
+        assert_eq!(
+            compile(&f).tape_report(),
+            [
+                KernelForm::Generic(Fallback::ArrayConstruction),
+                KernelForm::Tape
+            ]
+        );
+        let xs = Value::from(vec![0.0, 1.0, 2.0, 3.0, 5.0, 6.0]);
+        let counts = assert_tape_parity(&f, &[xs]);
+        assert_eq!((counts.tapes, counts.generic), (1, 1));
+    }
+
+    #[test]
+    fn iota_driven_gather_kernels_match_bitwise() {
+        // The hot pattern vjp transposition emits: a map over iota whose
+        // body gathers from captured arrays at arithmetic of the i64
+        // stream element. The i64 stream, the scalar i64 capture (the
+        // length) and the borrowed gather tables all ride the tape.
+        let mut b = Builder::new();
+        let f = b.build_fun("gather", &[Type::arr_f64(1)], |b, ps| {
+            let n = b.len(ps[0]);
+            let is = b.iota(n);
+            let g = b.map1(Type::arr_f64(1), &[is], |b, es| {
+                let last = b.isub(n, Atom::i64(1));
+                let j = b.isub(last, es[0].into());
+                let x = b.index(ps[0], &[j]);
+                let y = b.index(ps[0], &[es[0].into()]);
+                vec![b.fmul(x.into(), y.into())]
+            });
+            vec![b.sum(g).into()]
+        });
+        for n in [0usize, 1, 3, 4, 5, 17, 100] {
+            let counts = assert_tape_parity(&f, &[Value::from(data(n))]);
+            assert_eq!((counts.tapes, counts.generic), (2, 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn rank2_gather_kernels_match_bitwise() {
+        // The LSTM-vjp hot pattern: a map whose body reads `w[i][j]` from a
+        // captured rank-2 weight matrix (and `v[i]` from a rank-1 one),
+        // with both indices computed in i64 arithmetic on the stream.
+        let mut b = Builder::new();
+        let f = b.build_fun(
+            "g2",
+            &[Type::arr_f64(1), Type::arr_f64(2), Type::arr_f64(1)],
+            |b, ps| {
+                let n = b.len(ps[0]);
+                let is = b.iota(n);
+                let g = b.map1(Type::arr_f64(1), &[is], |b, es| {
+                    let row = b.irem(es[0].into(), Atom::i64(3));
+                    let col = b.irem(es[0].into(), Atom::i64(4));
+                    let w = b.index(ps[1], &[row, col]);
+                    let v = b.index(ps[2], &[col]);
+                    vec![b.fmul(w.into(), v.into())]
+                });
+                vec![b.sum(g).into()]
+            },
+        );
+        let w = Value::Arr(Array::from_f64(
+            vec![3, 4],
+            (0..12).map(|i| i as f64 * 1.5 - 4.0).collect(),
+        ));
+        let v = Value::from(vec![2.0, -1.0, 0.25, 7.0]);
+        for n in [0usize, 1, 4, 5, 17, 100] {
+            let counts = assert_tape_parity(&f, &[Value::from(data(n)), w.clone(), v.clone()]);
+            assert_eq!((counts.tapes, counts.generic), (2, 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn main_body_scalar_regions_compile_and_match() {
+        // Straight-line scalar glue in the main body, big enough to clear
+        // the region admission bar.
+        let mut b = Builder::new();
+        let f = b.build_fun("glue", &[Type::F64, Type::F64], |b, ps| {
+            let s = b.fsin(ps[0].into());
+            let c = b.fcos(ps[1].into());
+            let p = b.fmul(s, c);
+            let q = b.fadd(p, Atom::f64(2.5));
+            let r = b.fsqrt(q);
+            let lt = b.lt(r, Atom::f64(1.0));
+            let sel = b.select(lt, s, r);
+            vec![b.fdiv(sel, Atom::f64(3.0))]
+        });
+        assert!(
+            !compile(&f).lowered.regions.is_empty(),
+            "main body should yield a region"
+        );
+        for (a, b2) in [(0.3, 0.7), (-1.2, 2.0), (5.5, -0.1)] {
+            let counts = assert_tape_parity(&f, &[Value::F64(a), Value::F64(b2)]);
+            assert_eq!((counts.tapes, counts.generic), (1, 0));
+        }
+    }
+
+    #[test]
+    fn gradients_of_vjp_programs_match_bitwise() {
+        use futhark_ad::vjp;
+        let mut b = Builder::new();
+        let f = b.build_fun("obj", &[Type::arr_f64(1), Type::arr_f64(1)], |b, ps| {
+            let prods = b.map1(Type::arr_f64(1), &[ps[0], ps[1]], |b, es| {
+                let m = b.fmul(es[0].into(), es[1].into());
+                vec![b.ftanh(m)]
+            });
+            vec![b.sum(prods).into()]
+        });
+        let df = vjp(&f);
+        let opt = fir_opt::cse(&fir_opt::fuse_soacs(&df));
+        let xs = Value::from(data(37));
+        let ys = Value::from(data(37).iter().map(|x| x * 0.5 + 1.0).collect::<Vec<_>>());
+        let args = [xs, ys, Value::F64(1.0)];
+        assert!(assert_tape_parity(&df, &args).tapes >= 1);
+        assert!(assert_tape_parity(&opt, &args).tapes >= 1);
+    }
+
+    #[test]
+    fn zero_extent_maps_return_their_accumulators() {
+        // A map over no elements still has to return its accumulator
+        // results: the handles it was given, whether as an argument or as
+        // a capture, threaded directly or through a nested map — on the
+        // interpreter, the generic path and the tape path alike.
+        let mut b = Builder::new();
+        let f = b.build_fun(
+            "acc0",
+            &[Type::arr_f64(1), Type::arr_i64(1), Type::arr_f64(1)],
+            |b, ps| {
+                let (dst, inds, vals) = (ps[0], ps[1], ps[2]);
+                let out = b.with_acc(&[dst], |b, accs| {
+                    let acc_ty = b.ty_of(accs[0]);
+                    // Accumulator as an argument: lowers to a tape.
+                    let as_arg = b.map1(acc_ty, &[inds, vals, accs[0]], |b, es| {
+                        vec![b.upd_acc(es[2], &[es[0].into()], es[1].into()).into()]
+                    });
+                    // As a capture, through an inner map: generic (nested).
+                    let nested = b.map1(acc_ty, &[inds], |b, outer| {
+                        let inner = b.map1(acc_ty, &[vals], |b, es| {
+                            vec![b.upd_acc(as_arg, &[outer[0].into()], es[0].into()).into()]
+                        });
+                        vec![inner.into()]
+                    });
+                    vec![nested.into()]
+                });
+                vec![Atom::Var(out[0])]
+            },
+        );
+        let empty = [
+            Value::from(vec![1.0, 2.0, 3.0]),
+            Value::from(Vec::<i64>::new()),
+            Value::from(Vec::<f64>::new()),
+        ];
+        let want = Interp::sequential().run(&f, &empty);
+        assert_eq!(want[0].as_arr().f64s(), &[1.0, 2.0, 3.0]);
+        let counts = assert_tape_parity(&f, &empty);
+        assert_eq!((counts.tapes, counts.generic), (1, 1));
+        assert_bitwise_eq(&want, &Vm::sequential().run(&f, &empty));
+        // And the same program over real elements.
+        let full = [
+            Value::from(vec![1.0, 2.0, 3.0]),
+            Value::from(vec![0i64, 2]),
+            Value::from(vec![0.5, 0.25]),
+        ];
+        assert_tape_parity(&f, &full);
+        assert_agree(&f, &full);
+    }
+
+    #[test]
+    fn kernels_past_the_dispatch_bounds_fall_back() {
+        // Nine element streams: one more than a dispatch binds on its stack.
+        let mut b = Builder::new();
+        let f = b.build_fun("wide", &[Type::arr_f64(1); 9], |b, ps| {
+            let y = b.map1(Type::arr_f64(1), ps, |b, es| {
+                let sum = es[1..]
+                    .iter()
+                    .fold(Atom::Var(es[0]), |acc, e| b.fadd(acc, (*e).into()));
+                vec![sum]
+            });
+            vec![Atom::Var(y)]
+        });
+        assert_eq!(
+            compile(&f).tape_report(),
+            [KernelForm::Generic(Fallback::TooLarge)]
+        );
+        let args: Vec<Value> = (0..9)
+            .map(|i| Value::from(data(5 + i)[i..].to_vec()))
+            .collect();
+        let counts = assert_tape_parity(&f, &args);
+        assert_eq!((counts.tapes, counts.generic), (0, 1));
+        assert_agree(&f, &args);
+    }
+
+    #[test]
+    fn vm_counts_taped_programs_and_dispatches_per_run() {
+        let mut b = Builder::new();
+        let f = b.build_fun("hot", &[Type::arr_f64(1)], |b, ps| {
+            let sq = b.map1(Type::arr_f64(1), &[ps[0]], |b, es| {
+                vec![b.fmul(es[0].into(), es[0].into())]
+            });
+            vec![b.sum(sq).into()]
+        });
+        let vm = Vm::sequential().with_cache(Arc::new(ProgramCache::new()));
+        assert_eq!(vm.tape_stats(), TapeStats::default());
+        let exec = vm.prepare(&f).unwrap();
+        assert_eq!(vm.tape_stats().taped_programs, 1);
+        let args = [Value::from(data(16))];
+        exec.run(&args).unwrap();
+        exec.run(&args).unwrap();
+        let stats = vm.tape_stats();
+        assert_eq!((stats.tape_dispatches, stats.generic_dispatches), (4, 0));
     }
 }

@@ -12,9 +12,9 @@
 //! region need no special handling for the same reason.
 
 use fir::ir::UnOp;
-use firvm::bytecode::{CodeObject, Instr, Opnd, Reg};
 use interp::Value;
 
+use crate::bytecode::{CodeObject, Instr, Opnd, Reg};
 use crate::exec::run_region_ops;
 use crate::tape::{lower_straight_line, Cls, Tape};
 
@@ -44,6 +44,12 @@ impl Region {
     pub(crate) fn run(&self, regs: &mut [Value]) -> Option<usize> {
         let mut f = [[0.0f64; 1]; MAX_F];
         let mut b = [[false; 1]; MAX_B];
+        for (r, x) in f.iter_mut().zip(&self.tape.f_init) {
+            r[0] = *x;
+        }
+        for (r, x) in b.iter_mut().zip(&self.tape.b_init) {
+            r[0] = *x;
+        }
         for &(vr, cls, tr) in &self.inputs {
             match (cls, &regs[vr as usize]) {
                 (Cls::F, Value::F64(x)) => f[tr as usize][0] = *x,
@@ -51,16 +57,10 @@ impl Region {
                 _ => return None,
             }
         }
-        for &(r, x) in &self.tape.f_consts {
-            f[r as usize][0] = x;
-        }
-        for &(r, x) in &self.tape.b_consts {
-            b[r as usize][0] = x;
-        }
         run_region_ops(
             &self.tape.ops,
-            &mut f[..self.tape.num_f],
-            &mut b[..self.tape.num_b],
+            &mut f[..self.tape.f_init.len()],
+            &mut b[..self.tape.b_init.len()],
         );
         for &(vr, cls, tr) in &self.outputs {
             regs[vr as usize] = match cls {
@@ -105,24 +105,28 @@ pub(crate) fn lower_regions(code: &CodeObject) -> (Vec<u32>, Vec<Region>) {
         while hi < code.instrs.len() && candidate(&code.instrs[hi]) {
             hi += 1;
         }
-        if let Some(mut lo) = lower_straight_line(code, pc, hi) {
+        if let Ok(mut lo) = lower_straight_line(code, pc, hi) {
             let inputs = std::mem::take(&mut lo.inputs);
             let outputs: Vec<(Reg, Cls, u16)> = std::mem::take(&mut lo.writes)
                 .into_iter()
                 .map(|r| {
-                    let (cls, tr) = lo.binding(r).expect("written register has a binding");
+                    let (cls, tr) = lo
+                        .binding(r)
+                        .ok()
+                        .flatten()
+                        .expect("written register has a binding");
                     (r, cls, tr)
                 })
                 .collect();
-            let tape = lo.finish();
+            let tape = lo.finish(0, Vec::new());
             if tape.compute_ops >= MIN_COMPUTE_OPS
-                && tape.num_f <= MAX_F
-                && tape.num_b <= MAX_B
+                && tape.f_init.len() <= MAX_F
+                && tape.b_init.len() <= MAX_B
                 // Regions execute on scalar f64/bool stack files only; the
                 // candidate filter keeps i64 and arrays out, this re-checks.
-                && tape.num_i == 0
-                && tape.num_a == 0
-                && tape.num_c == 0
+                && tape.i_init.is_empty()
+                && tape.a_ranks.is_empty()
+                && tape.c_ranks.is_empty()
                 && regions.len() < u32::MAX as usize
             {
                 starts[pc] = regions.len() as u32 + 1;

@@ -1,12 +1,18 @@
 //! The bytecode executor.
 //!
 //! Straight-line code is a tight `match` over [`Instr`] with register reads
-//! and writes; control flow is jump-based within one frame. SOAC
-//! instructions set up their kernel frame **once** (captures included) and
-//! then drive the compiled kernel body per element or per chunk, scheduling
-//! chunks on the shared persistent worker pool. Scalar kernel outputs are
-//! written to flat typed buffers, so a `map` producing `f64`s never boxes
-//! per-element values.
+//! and writes; control flow is jump-based within one frame. A SOAC
+//! instruction picks its kernel's form statically: a kernel with a tape
+//! ([`Program::tape_report`]) runs on the monomorphic tape executor
+//! (`exec.rs`), which borrows its arguments from the frame and
+//! allocates nothing but its outputs; a kernel without one — or a dispatch
+//! whose values are outside the tape's shape class — runs the generic path
+//! here, which sets up the kernel frame **once** (captures included) and
+//! drives the compiled kernel body per element or per chunk. Both schedule
+//! chunks on the shared persistent worker pool with the same policy, and
+//! both are bitwise equal by construction and by test. Scalar kernel
+//! outputs are written to flat typed buffers, so a `map` producing `f64`s
+//! never boxes per-element values.
 
 use fir::ir::ReduceOp;
 use fir::types::{ScalarType, Type};
@@ -14,32 +20,55 @@ use interp::eval::{eval_binop, eval_unop, replicate};
 use interp::{arena, Accum, Array, ExecConfig, Value};
 
 use crate::bytecode::{CodeObject, Instr, Opnd, Program, Reg};
-use crate::kernel::Kernel;
-use crate::pool::run_chunked;
-use crate::tier::TierRef;
+use crate::exec::{self, Scratch};
+use crate::pool::{run_chunked, should_parallelize};
 
 /// Everything an executing frame needs to reach besides its registers.
 pub(crate) struct ExecCtx<'a> {
     pub prog: &'a Program,
     pub cfg: &'a ExecConfig,
-    /// The jit tier for this execution, when the program is promoted.
-    pub tier: Option<TierRef<'a>>,
+}
+
+/// How many SOAC dispatches (and main-body regions) of a run executed as
+/// tapes, and how many as generic bytecode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchCounts {
+    pub tapes: u64,
+    pub generic: u64,
+}
+
+/// What one strand of execution — a `run_program`, or one chunk of a
+/// parallel generic SOAC — carries from dispatch to dispatch: the tape
+/// executor's scratch buffers and the dispatch counts. Plain fields, no
+/// atomics: a strand belongs to one thread, and a parallel SOAC adds its
+/// chunks' counts to the dispatching strand when they return.
+#[derive(Default)]
+pub(crate) struct Strand {
+    scratch: Scratch,
+    counts: DispatchCounts,
+}
+
+impl Strand {
+    fn count(&mut self, ran_as_tape: bool) {
+        if ran_as_tape {
+            self.counts.tapes += 1;
+        } else {
+            self.counts.generic += 1;
+        }
+    }
 }
 
 /// Run a compiled program on argument values.
 pub fn run_program(prog: &Program, cfg: &ExecConfig, args: &[Value]) -> Vec<Value> {
-    run_program_tiered(prog, cfg, args, None)
+    run_program_counted(prog, cfg, args).0
 }
 
-/// Run a compiled program, offering SOAC dispatches and main-body scalar
-/// regions to `tier`'s accelerator first (per-kernel fallback to the
-/// ordinary bytecode path when it declines).
-pub fn run_program_tiered(
+/// Run a compiled program; also say how its dispatches executed.
+pub fn run_program_counted(
     prog: &Program,
     cfg: &ExecConfig,
     args: &[Value],
-    tier: Option<TierRef<'_>>,
-) -> Vec<Value> {
+) -> (Vec<Value>, DispatchCounts) {
     assert_eq!(
         prog.num_params,
         args.len(),
@@ -49,11 +78,39 @@ pub fn run_program_tiered(
         args.len()
     );
     let _span = fir_trace::span_str("vm", &prog.name);
-    let ctx = ExecCtx { prog, cfg, tier };
+    let ctx = ExecCtx { prog, cfg };
+    let mut strand = Strand::default();
     let mut regs = new_frame(prog.main.num_regs);
     regs[..args.len()].clone_from_slice(args);
-    exec(&ctx, &prog.main, &mut regs);
-    read_ret(&prog.main, &regs)
+    exec(&ctx, &prog.main, &mut regs, &mut strand);
+    (read_ret(&prog.main, &regs), strand.counts)
+}
+
+/// Run `f(lo, hi, strand)` over a chunking of `0..n` (the [`run_chunked`]
+/// policy): inline on the caller's strand when one chunk suffices, else on
+/// the pool with a fresh strand per chunk whose counts are added back.
+fn chunked<R: Send>(
+    ctx: &ExecCtx,
+    n: usize,
+    strand: &mut Strand,
+    f: &(dyn Fn(usize, usize, &mut Strand) -> R + Sync),
+) -> Vec<R> {
+    if n == 0 {
+        return Vec::new();
+    }
+    if !should_parallelize(ctx.cfg, n) {
+        return vec![f(0, n, strand)];
+    }
+    let chunks = run_chunked(ctx.cfg, n, &|lo, hi| {
+        let mut s = Strand::default();
+        (f(lo, hi, &mut s), s.counts)
+    });
+    let absorb = |(r, c): (R, DispatchCounts)| {
+        strand.counts.tapes += c.tapes;
+        strand.counts.generic += c.generic;
+        r
+    };
+    chunks.into_iter().map(absorb).collect()
 }
 
 fn new_frame(num_regs: usize) -> Vec<Value> {
@@ -94,31 +151,27 @@ fn take_arr(regs: &mut [Value], r: Reg, consume: bool) -> Array {
 }
 
 /// Execute a code object over the given frame until it falls off the end.
-pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
+pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value], strand: &mut Strand) {
     let mut pc = 0usize;
     let instrs = &code.instrs;
-    // Jit regions only apply to the program's main body (kernel bodies are
-    // specialized wholesale through the SOAC offers instead). The region
-    // table is hoisted out of the dispatch loop; a table of the wrong
-    // length (never produced by a well-formed accelerator) is ignored.
-    let regions: Option<(&[u32], TierRef)> = match ctx.tier {
-        Some(t) if std::ptr::eq(code, &ctx.prog.main) => {
-            let starts = t.accel.region_starts();
-            (starts.len() == instrs.len()).then_some((starts, t))
-        }
-        _ => None,
+    let lowered = &ctx.prog.lowered;
+    // Compiled scalar regions only exist for the program's main body
+    // (kernel bodies are lowered wholesale instead).
+    let region_starts: &[u32] = if std::ptr::eq(code, &ctx.prog.main) {
+        &lowered.region_starts
+    } else {
+        &[]
     };
     while pc < instrs.len() {
-        if let Some((starts, t)) = regions {
-            let rid = starts[pc];
+        if let Some(&rid) = region_starts.get(pc) {
             if rid != 0 {
-                if let Some(next) = t.accel.run_region(rid - 1, regs) {
-                    t.hit();
+                let next = lowered.regions[rid as usize - 1].run(regs);
+                strand.count(next.is_some());
+                if let Some(next) = next {
                     pc = next;
                     continue;
                 }
                 // Input class mismatch: interpret the same instructions.
-                t.fallback();
             }
         }
         match &instrs[pc] {
@@ -192,10 +245,13 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
             } => {
                 #[cfg(feature = "profile")]
                 let _k = fir_trace::span("kernel", ctx.prog.kernel_label(*kernel));
-                let outs = try_accel_map(ctx, *kernel, args, captures, regs)
-                    .unwrap_or_else(|| exec_map(ctx, *kernel, args, captures, regs));
-                for (d, v) in dsts.iter().zip(outs) {
-                    regs[*d as usize] = v;
+                let taped = lowered.kernels[*kernel].as_ref().is_ok_and(|k| {
+                    exec::map(k, ctx.cfg, regs, dsts, args, captures, &mut strand.scratch)
+                });
+                strand.count(taped);
+                if !taped {
+                    let outs = exec_map(ctx, *kernel, args, captures, regs, strand);
+                    write_outs(regs, dsts, outs);
                 }
             }
             Instr::Reduce {
@@ -207,10 +263,14 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
             } => {
                 #[cfg(feature = "profile")]
                 let _k = fir_trace::span("kernel", ctx.prog.kernel_label(*kernel));
-                let outs = try_accel_reduce(ctx, *kernel, neutral, args, captures, regs)
-                    .unwrap_or_else(|| exec_reduce(ctx, *kernel, neutral, args, captures, regs));
-                for (d, v) in dsts.iter().zip(outs) {
-                    regs[*d as usize] = v;
+                let taped = lowered.kernels[*kernel].as_ref().is_ok_and(|k| {
+                    let scratch = &mut strand.scratch;
+                    exec::reduce(k, ctx.cfg, regs, dsts, neutral, args, captures, scratch)
+                });
+                strand.count(taped);
+                if !taped {
+                    let outs = exec_reduce(ctx, *kernel, neutral, args, captures, regs, strand);
+                    write_outs(regs, dsts, outs);
                 }
             }
             Instr::Redomap {
@@ -224,18 +284,24 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
             } => {
                 #[cfg(feature = "profile")]
                 let _k = fir_trace::span("kernel", ctx.prog.kernel_label(*red_kernel));
-                let outs = try_accel_redomap(
-                    ctx,
-                    *red_kernel,
-                    *map_kernel,
-                    neutral,
-                    args,
-                    red_captures,
-                    map_captures,
-                    regs,
-                )
-                .unwrap_or_else(|| {
-                    exec_redomap(
+                let taped = match (&lowered.kernels[*red_kernel], &lowered.kernels[*map_kernel]) {
+                    (Ok(rk), Ok(mk)) => exec::redomap(
+                        rk,
+                        mk,
+                        ctx.cfg,
+                        regs,
+                        dsts,
+                        neutral,
+                        args,
+                        red_captures,
+                        map_captures,
+                        &mut strand.scratch,
+                    ),
+                    _ => false,
+                };
+                strand.count(taped);
+                if !taped {
+                    let outs = exec_redomap(
                         ctx,
                         *red_kernel,
                         *map_kernel,
@@ -244,10 +310,9 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
                         red_captures,
                         map_captures,
                         regs,
-                    )
-                });
-                for (d, v) in dsts.iter().zip(outs) {
-                    regs[*d as usize] = v;
+                        strand,
+                    );
+                    write_outs(regs, dsts, outs);
                 }
             }
             Instr::Scan {
@@ -259,10 +324,13 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
             } => {
                 #[cfg(feature = "profile")]
                 let _k = fir_trace::span("kernel", ctx.prog.kernel_label(*kernel));
-                let outs = try_accel_scan(ctx, *kernel, neutral, args, captures, regs)
-                    .unwrap_or_else(|| exec_scan(ctx, *kernel, neutral, args, captures, regs));
-                for (d, v) in dsts.iter().zip(outs) {
-                    regs[*d as usize] = v;
+                let taped = lowered.kernels[*kernel].as_ref().is_ok_and(|k| {
+                    exec::scan(k, regs, dsts, neutral, args, captures, &mut strand.scratch)
+                });
+                strand.count(taped);
+                if !taped {
+                    let outs = exec_scan(ctx, *kernel, neutral, args, captures, regs, strand);
+                    write_outs(regs, dsts, outs);
                 }
             }
             Instr::Hist {
@@ -304,10 +372,8 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value]) {
             } => {
                 #[cfg(feature = "profile")]
                 let _k = fir_trace::span("kernel", ctx.prog.kernel_label(*kernel));
-                let outs = exec_withacc(ctx, *kernel, arrs, captures, regs);
-                for (d, v) in dsts.iter().zip(outs) {
-                    regs[*d as usize] = v;
-                }
+                let outs = exec_withacc(ctx, *kernel, arrs, captures, regs, strand);
+                write_outs(regs, dsts, outs);
             }
             Instr::UpdAcc { dst, acc, idx, val } => {
                 let handle = regs[*acc as usize].as_acc().clone();
@@ -462,105 +528,9 @@ fn gather(regs: &[Value], rs: &[Reg]) -> Vec<Value> {
     rs.iter().map(|r| regs[*r as usize].clone()).collect()
 }
 
-/// Offer a `map` dispatch to the active accelerator. `None` means the VM
-/// path must run it (and a fallback was counted iff a tier is active).
-fn try_accel_map(
-    ctx: &ExecCtx,
-    kernel: usize,
-    args: &[Reg],
-    captures: &[Reg],
-    regs: &[Value],
-) -> Option<Vec<Value>> {
-    let t = ctx.tier?;
-    let argvals = gather(regs, args);
-    let caps = gather(regs, captures);
-    match t.accel.map(ctx.cfg, kernel, &argvals, &caps) {
-        Some(outs) => {
-            t.hit();
-            Some(outs)
-        }
-        None => {
-            t.fallback();
-            None
-        }
-    }
-}
-
-fn try_accel_reduce(
-    ctx: &ExecCtx,
-    kernel: usize,
-    neutral: &[Opnd],
-    args: &[Reg],
-    captures: &[Reg],
-    regs: &[Value],
-) -> Option<Vec<Value>> {
-    let t = ctx.tier?;
-    let ne: Vec<Value> = neutral.iter().map(|o| read(regs, o)).collect();
-    let argvals = gather(regs, args);
-    let caps = gather(regs, captures);
-    match t.accel.reduce(ctx.cfg, kernel, &ne, &argvals, &caps) {
-        Some(outs) => {
-            t.hit();
-            Some(outs)
-        }
-        None => {
-            t.fallback();
-            None
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn try_accel_redomap(
-    ctx: &ExecCtx,
-    red_kernel: usize,
-    map_kernel: usize,
-    neutral: &[Opnd],
-    args: &[Reg],
-    red_captures: &[Reg],
-    map_captures: &[Reg],
-    regs: &[Value],
-) -> Option<Vec<Value>> {
-    let t = ctx.tier?;
-    let ne: Vec<Value> = neutral.iter().map(|o| read(regs, o)).collect();
-    let argvals = gather(regs, args);
-    let rcaps = gather(regs, red_captures);
-    let mcaps = gather(regs, map_captures);
-    match t.accel.redomap(
-        ctx.cfg, red_kernel, map_kernel, &ne, &argvals, &rcaps, &mcaps,
-    ) {
-        Some(outs) => {
-            t.hit();
-            Some(outs)
-        }
-        None => {
-            t.fallback();
-            None
-        }
-    }
-}
-
-fn try_accel_scan(
-    ctx: &ExecCtx,
-    kernel: usize,
-    neutral: &[Opnd],
-    args: &[Reg],
-    captures: &[Reg],
-    regs: &[Value],
-) -> Option<Vec<Value>> {
-    let t = ctx.tier?;
-    let ne: Vec<Value> = neutral.iter().map(|o| read(regs, o)).collect();
-    let argvals = gather(regs, args);
-    let caps = gather(regs, captures);
-    match t.accel.scan(ctx.cfg, kernel, &ne, &argvals, &caps) {
-        Some(outs) => {
-            t.hit();
-            Some(outs)
-        }
-        None => {
-            t.fallback();
-            None
-        }
+fn write_outs(regs: &mut [Value], dsts: &[Reg], outs: Vec<Value>) {
+    for (d, v) in dsts.iter().zip(outs) {
+        regs[*d as usize] = v;
     }
 }
 
@@ -582,6 +552,7 @@ fn exec_map(
     args: &[Reg],
     captures: &[Reg],
     regs: &[Value],
+    strand: &mut Strand,
 ) -> Vec<Value> {
     let k = &ctx.prog.kernels[kernel];
     let argvals = gather(regs, args);
@@ -593,67 +564,41 @@ fn exec_map(
             _ => None,
         })
         .expect("map needs at least one array argument");
-    let chunk_bufs: Vec<Vec<OutBuf>> = run_chunked(ctx.cfg, n, &|lo, hi| {
+    let chunk_bufs: Vec<Vec<OutBuf>> = chunked(ctx, n, strand, &|lo, hi, strand| {
         let mut frame = k.new_frame(&caps);
         let mut bufs: Vec<OutBuf> = k.ret.iter().map(|t| OutBuf::for_type(t, hi - lo)).collect();
         for i in lo..hi {
             write_elem_params(&mut frame, &argvals, i);
-            exec(ctx, &k.code, &mut frame);
+            exec(ctx, &k.code, &mut frame, strand);
             for (j, o) in k.code.ret.iter().enumerate() {
                 bufs[j].push(read(&frame, o));
             }
         }
         bufs
     });
-    collect_columns(k, n, chunk_bufs)
-}
-
-/// Transpose chunk-major buffers into one final value per kernel output.
-fn collect_columns(k: &Kernel, n: usize, chunk_bufs: Vec<Vec<OutBuf>>) -> Vec<Value> {
-    let width = k.ret.len();
-    let mut columns: Vec<Vec<OutBuf>> = (0..width).map(|_| Vec::new()).collect();
+    // Transpose chunk-major buffers into one final value per kernel output.
+    let mut columns: Vec<Vec<OutBuf>> = k.ret.iter().map(|_| Vec::new()).collect();
     for chunk in chunk_bufs {
-        for (j, buf) in chunk.into_iter().enumerate() {
-            columns[j].push(buf);
+        for (column, buf) in columns.iter_mut().zip(chunk) {
+            column.push(buf);
         }
     }
+    let acc_inputs = &ctx.prog.lowered.acc_inputs[kernel];
     k.ret
         .iter()
         .zip(columns)
-        .map(|(ty, chunks)| {
-            if chunks.is_empty() {
-                // n == 0: no chunks ran at all.
-                assemble_output(ty, 0, vec![OutBuf::for_type(ty, 0)])
-            } else {
-                assemble_output(ty, n, chunks)
+        .zip(acc_inputs)
+        .map(|((ty, chunks), acc_input)| match acc_input {
+            // An accumulator column is the handle that came in: which
+            // argument or capture is a compile-time fact, so a map of
+            // extent zero returns its accumulators unchanged.
+            Some(slot) => {
+                let mut inputs = argvals.iter().chain(&caps);
+                inputs.nth(*slot).expect("result slot is an input").clone()
             }
+            None => assemble_output(ty, n, chunks),
         })
         .collect()
-}
-
-/// Fold `args[lo..hi]` through the kernel starting from the neutral values.
-fn fold_range(
-    ctx: &ExecCtx,
-    k: &Kernel,
-    frame: &mut [Value],
-    ne: &[Value],
-    argarrs: &[Array],
-    lo: usize,
-    hi: usize,
-) -> Vec<Value> {
-    let width = ne.len();
-    let mut acc: Vec<Value> = ne.to_vec();
-    for i in lo..hi {
-        for (j, a) in acc.drain(..).enumerate() {
-            frame[j] = a;
-        }
-        for (j, arr) in argarrs.iter().enumerate() {
-            frame[width + j] = arr.index(&[i]);
-        }
-        exec(ctx, &k.code, frame);
-        acc = read_ret(&k.code, frame);
-    }
-    acc
 }
 
 fn exec_reduce(
@@ -663,6 +608,7 @@ fn exec_reduce(
     args: &[Reg],
     captures: &[Reg],
     regs: &[Value],
+    strand: &mut Strand,
 ) -> Vec<Value> {
     let k = &ctx.prog.kernels[kernel];
     let caps = gather(regs, captures);
@@ -672,15 +618,27 @@ fn exec_reduce(
         .collect();
     let ne: Vec<Value> = neutral.iter().map(|o| read(regs, o)).collect();
     let n = argarrs[0].len();
-    let partials: Vec<Vec<Value>> = run_chunked(ctx.cfg, n, &|lo, hi| {
+    let width = ne.len();
+    // Fold each chunk through the kernel starting from the neutral values.
+    let partials: Vec<Vec<Value>> = chunked(ctx, n, strand, &|lo, hi, strand| {
         let mut frame = k.new_frame(&caps);
-        fold_range(ctx, k, &mut frame, &ne, &argarrs, lo, hi)
+        let mut acc = ne.clone();
+        for i in lo..hi {
+            for (j, a) in acc.drain(..).enumerate() {
+                frame[j] = a;
+            }
+            for (j, arr) in argarrs.iter().enumerate() {
+                frame[width + j] = arr.index(&[i]);
+            }
+            exec(ctx, &k.code, &mut frame, strand);
+            acc = read_ret(&k.code, &frame);
+        }
+        acc
     });
     if partials.len() == 1 {
         return partials.into_iter().next().unwrap();
     }
     // Combine per-chunk partials with the same (associative) operator.
-    let width = ne.len();
     let mut frame = k.new_frame(&caps);
     let mut acc = ne;
     for p in partials {
@@ -690,7 +648,7 @@ fn exec_reduce(
         for (j, v) in p.into_iter().enumerate() {
             frame[width + j] = v;
         }
-        exec(ctx, &k.code, &mut frame);
+        exec(ctx, &k.code, &mut frame, strand);
         acc = read_ret(&k.code, &frame);
     }
     acc
@@ -710,6 +668,7 @@ fn exec_redomap(
     red_captures: &[Reg],
     map_captures: &[Reg],
     regs: &[Value],
+    strand: &mut Strand,
 ) -> Vec<Value> {
     let rk = &ctx.prog.kernels[red_kernel];
     let mk = &ctx.prog.kernels[map_kernel];
@@ -725,13 +684,13 @@ fn exec_redomap(
         })
         .expect("redomap needs at least one array argument");
     let width = ne.len();
-    let partials: Vec<Vec<Value>> = run_chunked(ctx.cfg, n, &|lo, hi| {
+    let partials: Vec<Vec<Value>> = chunked(ctx, n, strand, &|lo, hi, strand| {
         let mut mframe = mk.new_frame(&mcaps);
         let mut rframe = rk.new_frame(&rcaps);
         let mut acc = ne.clone();
         for i in lo..hi {
             write_elem_params(&mut mframe, &argvals, i);
-            exec(ctx, &mk.code, &mut mframe);
+            exec(ctx, &mk.code, &mut mframe, strand);
             let vals = read_ret(&mk.code, &mframe);
             for (j, a) in acc.drain(..).enumerate() {
                 rframe[j] = a;
@@ -739,7 +698,7 @@ fn exec_redomap(
             for (j, v) in vals.into_iter().enumerate() {
                 rframe[width + j] = v;
             }
-            exec(ctx, &rk.code, &mut rframe);
+            exec(ctx, &rk.code, &mut rframe, strand);
             acc = read_ret(&rk.code, &rframe);
         }
         acc
@@ -756,7 +715,7 @@ fn exec_redomap(
         for (j, v) in p.into_iter().enumerate() {
             frame[width + j] = v;
         }
-        exec(ctx, &rk.code, &mut frame);
+        exec(ctx, &rk.code, &mut frame, strand);
         acc = read_ret(&rk.code, &frame);
     }
     acc
@@ -769,6 +728,7 @@ fn exec_scan(
     args: &[Reg],
     captures: &[Reg],
     regs: &[Value],
+    strand: &mut Strand,
 ) -> Vec<Value> {
     let k = &ctx.prog.kernels[kernel];
     let caps = gather(regs, captures);
@@ -788,7 +748,7 @@ fn exec_scan(
         for (j, arr) in argarrs.iter().enumerate() {
             frame[width + j] = arr.index(&[i]);
         }
-        exec(ctx, &k.code, &mut frame);
+        exec(ctx, &k.code, &mut frame, strand);
         acc = read_ret(&k.code, &frame);
         for (j, v) in acc.iter().enumerate() {
             bufs[j].push(v.clone());
@@ -864,6 +824,7 @@ fn exec_withacc(
     arrs: &[Reg],
     captures: &[Reg],
     regs: &[Value],
+    strand: &mut Strand,
 ) -> Vec<Value> {
     let k = &ctx.prog.kernels[kernel];
     let caps = gather(regs, captures);
@@ -875,7 +836,7 @@ fn exec_withacc(
     for (j, a) in accs.iter().enumerate() {
         frame[j] = Value::Acc(a.clone());
     }
-    exec(ctx, &k.code, &mut frame);
+    exec(ctx, &k.code, &mut frame, strand);
     let results = read_ret(&k.code, &frame);
     let mut out: Vec<Value> = accs.iter().map(|a| Value::Arr(a.to_array())).collect();
     out.extend(results.into_iter().skip(arrs.len()));

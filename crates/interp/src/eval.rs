@@ -366,11 +366,25 @@ impl Interp {
             if lam.ret[j].is_acc() {
                 // All iterations share the same accumulator buffer; return
                 // the handle itself ("array of accumulators" = accumulator).
-                let acc = match &results[0][j] {
-                    Value::Acc(a) => a.clone(),
-                    other => panic!("map declared accumulator result, got {other:?}"),
+                // Over no elements, which handle is still a static fact
+                // about the lambda: a map of extent zero returns its
+                // accumulators unchanged.
+                let acc = match results.first() {
+                    Some(r) => r[j].clone(),
+                    None => {
+                        let src = acc_result_source(lam, j)
+                            .expect("map with accumulator result over an empty array");
+                        match lam.params.iter().position(|p| p.var == src) {
+                            Some(p) => argvals[p].clone(),
+                            None => env.lookup(src).clone(),
+                        }
+                    }
                 };
-                out.push(Value::Acc(acc));
+                assert!(
+                    matches!(acc, Value::Acc(_)),
+                    "map declared accumulator result, got {acc:?}"
+                );
+                out.push(acc);
             } else if n == 0 {
                 out.push(Value::Arr(Array::zeros(lam.ret[j].elem(), vec![0])));
             } else {
@@ -564,6 +578,51 @@ pub fn replicate(n: usize, v: &Value) -> Array {
         }
         Value::Acc(_) => panic!("replicate of accumulator"),
     }
+}
+
+/// The variable — a parameter of `lam` or one free in it — whose
+/// accumulator `lam` returns as result `j`: the result followed back
+/// through `upd_acc`, aliases, `if`/`loop` results and the accumulator
+/// results of inner `map`s. `None` when the handle takes a route this does
+/// not follow.
+fn acc_result_source(lam: &Lambda, j: usize) -> Option<VarId> {
+    match lam.body.result.get(j)? {
+        Atom::Var(v) => acc_source_in(&lam.body, *v),
+        Atom::Const(_) => None,
+    }
+}
+
+/// [`acc_result_source`] for variable `v` at the end of `body`: the
+/// variable bound outside `body` that `v`'s handle came from.
+fn acc_source_in(body: &Body, mut v: VarId) -> Option<VarId> {
+    // A handle's definition precedes its use, so one backwards walk finds
+    // every link of the chain.
+    for stm in body.stms.iter().rev() {
+        let Some(k) = stm.pat.iter().position(|p| p.var == v) else {
+            continue;
+        };
+        v = match &stm.exp {
+            Exp::UpdAcc { acc, .. } => *acc,
+            Exp::Atom(Atom::Var(src)) => *src,
+            Exp::Map { lam, args } => {
+                let inner = acc_result_source(lam, k)?;
+                match lam.params.iter().position(|p| p.var == inner) {
+                    Some(p) => args[p],
+                    None => inner,
+                }
+            }
+            Exp::Loop { params, .. } => match params.get(k)?.1 {
+                Atom::Var(init) => init,
+                Atom::Const(_) => return None,
+            },
+            Exp::If { then_br, .. } => match then_br.result.get(k)? {
+                Atom::Var(r) => acc_source_in(then_br, *r)?,
+                Atom::Const(_) => return None,
+            },
+            _ => return None,
+        };
+    }
+    Some(v)
 }
 
 /// Apply a unary scalar primitive (shared with the bytecode VM).

@@ -78,22 +78,9 @@ fn main() -> Result<(), FirError> {
         outs[1].as_arr().index(&[0]).as_arr().f64s()
     );
 
-    // Cache and optimizer behavior, observable without reading JSON.
+    // Cache, kernel-form (tape vs generic bytecode) and optimizer behavior,
+    // observable without reading JSON.
     println!("{}", engine.cache_stats());
     println!("{}", engine.opt_stats());
-
-    // Execution tiers: a jit-tiered engine watches run counts and promotes
-    // hot programs to native kernels. With a threshold of 3, the first two
-    // calls run on the VM; the third promotes and already executes jitted.
-    let hot = Engine::builder()
-        .backend_name("vm")
-        .jit_threshold(3)
-        .build()?;
-    let hf = hot.compile(&f)?;
-    for _ in 0..5 {
-        hf.call_scalar(&args)?;
-    }
-    // The same cache line now carries the tier counters.
-    println!("{}", hot.cache_stats());
     Ok(())
 }

@@ -33,8 +33,7 @@ fn main() -> Result<(), ServeError> {
     let collector = std::thread::spawn(|| {
         let mut acc = fir_trace::Trace::default();
         while !DONE.load(Ordering::Acquire) {
-            // 2ms, not 10: with `profile` + the jit tier every SOAC
-            // dispatch is a span, and a busy ring can wrap in under 10ms
+            // 2ms, not 10: with `profile` every SOAC dispatch is a span, and a busy ring can wrap in under 10ms
             // (which would evict the early compile events).
             std::thread::sleep(Duration::from_millis(2));
             acc.extend(fir_trace::drain());
@@ -45,23 +44,12 @@ fn main() -> Result<(), ServeError> {
 
     // --- Compile + grad directly through the engine (compile/cache/vm
     // spans), on the paper's GMM D5 instance: n=500, d=32, K=25.
-    // `FIR_JIT_THRESHOLD=1` reruns the same workload on the jit-tiered
-    // VM with eager promotion, so the per-phase profile shows the
-    // specialization tier instead (the before/after pair in
-    // EXPERIMENTS.md).
     // `FIR_MEMPLAN=1` swaps in `PassPipeline::standard_mem()`, so the
     // profile additionally shows the memory-planning pass (`opt/memplan`)
     // and the `compile/memplan` buffer-plan instant (the EXPERIMENTS.md
     // "Memory planning" excerpt).
     let memplan = std::env::var("FIR_MEMPLAN").is_ok();
-    let engine = match std::env::var("FIR_JIT_THRESHOLD") {
-        Ok(t) => Engine::builder()
-            .backend_name("vm")
-            .jit_threshold(t.parse().expect("FIR_JIT_THRESHOLD must be an integer"))
-            .build(),
-        Err(_) => Engine::by_name("vm"),
-    }
-    .map_err(ServeError::Exec)?;
+    let engine = Engine::by_name("vm").map_err(ServeError::Exec)?;
     let engine = if memplan {
         engine.with_pipeline(futhark_ad_repro::PassPipeline::standard_mem())
     } else {

@@ -1,10 +1,10 @@
 //! Semantics-preservation fuzzing of the optimization pipeline.
 //!
 //! For every randomly generated well-typed program (see `fir-proptest`),
-//! the nine configurations {standard pipeline, standard + memory planning
-//! (`memplan`), no pipeline} × {tree-walking interpreter, firvm bytecode
-//! VM, jit-tiered VM (threshold 1, so every program runs on native
-//! kernels)} must agree **bitwise** on every result —
+//! the six configurations {standard pipeline, standard + memory planning
+//! (`memplan`), no pipeline} × {tree-walking interpreter, firvm VM (tape
+//! kernels wherever a kernel lowers, generic bytecode elsewhere)} must
+//! agree **bitwise** on every result —
 //! the optimizer may only rearrange *which* computations run, never a
 //! single floating-point rounding. Gradients get the same treatment: the
 //! engine derives `vjp` from the pre-pipeline source, so optimized and
@@ -34,37 +34,26 @@ fn cases_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The nine engines of the differential square, sharing nothing. The jit
-/// configurations run with a hotness threshold of 1: every program promotes
-/// on its first run, so the native tier executes (or per-kernel falls back)
-/// on every single fuzz case rather than only on re-runs. The `+mem`
-/// column runs the standard pipeline with the `memplan` pass appended, so
-/// dead-source copy elimination and arena-backed buffer reuse face the
-/// same bitwise bar as every other rewrite.
-fn engines() -> [(&'static str, Engine); 9] {
+/// The six engines of the differential square, sharing nothing. The
+/// interpreter is the bitwise oracle; the VM runs every kernel that lowers
+/// as a tape from the first call (the tape-vs-generic-bytecode property
+/// itself is `firvm`'s own unit tests). The `+mem` column runs the
+/// standard pipeline with the `memplan` pass appended, so dead-source copy
+/// elimination and arena-backed buffer reuse face the same bitwise bar as
+/// every other rewrite.
+fn engines() -> [(&'static str, Engine); 6] {
     let mk = |backend: &str, pipeline: PassPipeline| {
         Engine::by_name(backend).unwrap().with_pipeline(pipeline)
-    };
-    let mk_jit = |pipeline: PassPipeline| {
-        Engine::builder()
-            .backend_name("vm-seq")
-            .jit_threshold(1)
-            .pipeline(pipeline)
-            .build()
-            .unwrap()
     };
     [
         ("interp+std", mk("interp-seq", PassPipeline::standard())),
         ("interp+none", mk("interp-seq", PassPipeline::none())),
         ("vm+std", mk("vm-seq", PassPipeline::standard())),
         ("vm+none", mk("vm-seq", PassPipeline::none())),
-        ("jit+std", mk_jit(PassPipeline::standard())),
-        ("jit+none", mk_jit(PassPipeline::none())),
-        // Appended after the original six so positional references (the
+        // Appended after the original four so positional references (the
         // forward-mode check compiles on engines[2] = vm+std) stay stable.
         ("interp+mem", mk("interp-seq", PassPipeline::standard_mem())),
         ("vm+mem", mk("vm-seq", PassPipeline::standard_mem())),
-        ("jit+mem", mk_jit(PassPipeline::standard_mem())),
     ]
 }
 
@@ -73,8 +62,9 @@ fn engines() -> [(&'static str, Engine); 9] {
 /// take the chunked code paths. Comparisons are within one backend (the
 /// two backends may chunk differently from each other), pinning down that
 /// a fused `redomap`'s parallel fold-and-combine is bitwise identical to
-/// the `reduce (map ...)` it replaced.
-fn parallel_pairs() -> [(&'static str, Engine, Engine); 3] {
+/// the `reduce (map ...)` it replaced — on the VM, through the tape
+/// executor's chunked folds wherever the kernels lower.
+fn parallel_pairs() -> [(&'static str, Engine, Engine); 2] {
     use interp::{ExecConfig, Interp};
     let cfg = ExecConfig {
         parallel: true,
@@ -87,21 +77,11 @@ fn parallel_pairs() -> [(&'static str, Engine, Engine); 3] {
         .with_pipeline(PassPipeline::none());
     let vm_std = Engine::with_backend(Box::new(firvm::Vm::with_config(cfg.clone())))
         .with_pipeline(PassPipeline::standard());
-    let vm_none = Engine::with_backend(Box::new(firvm::Vm::with_config(cfg.clone())))
-        .with_pipeline(PassPipeline::none());
-    // The jit tier under the same forced-parallel config: its reductions
-    // must reuse the VM's chunk boundaries and combine order exactly.
-    let jit_std = Engine::with_backend(Box::new(fir_jit::vm_with(
-        cfg.clone(),
-        fir_jit::tier_config(1),
-    )))
-    .with_pipeline(PassPipeline::standard());
-    let jit_none = Engine::with_backend(Box::new(fir_jit::vm_with(cfg, fir_jit::tier_config(1))))
+    let vm_none = Engine::with_backend(Box::new(firvm::Vm::with_config(cfg)))
         .with_pipeline(PassPipeline::none());
     [
         ("interp-par", interp_std, interp_none),
         ("vm-par", vm_std, vm_none),
-        ("jit-par", jit_std, jit_none),
     ]
 }
 
@@ -180,7 +160,7 @@ fn random_gradients_agree_bitwise_and_pass_gradcheck() {
         let (fun, args) = arbitrary_fun(&name, &mut rng, &GenConfig::smooth());
         check_fun(&fun).unwrap_or_else(|e| panic!("{name}: ill-typed: {e}"));
 
-        // Reverse mode, bitwise across all nine configurations (vjp is
+        // Reverse mode, bitwise across all six configurations (vjp is
         // derived from the pre-pipeline source, then optimized per engine).
         let reference = engines[0].1.compile(&fun).unwrap().grad(&args).unwrap();
         for (config, engine) in &engines[1..] {
@@ -240,7 +220,7 @@ fn random_gradients_agree_bitwise_and_pass_gradcheck() {
 
 /// A pinned (non-random) case for the signed-zero constant folds: the
 /// standard pipeline folds `x + (-0.0)` but must leave `x + (+0.0)`
-/// intact, and all nine configurations have to agree bitwise on a program
+/// intact, and all six configurations have to agree bitwise on a program
 /// whose inputs and intermediates include `-0.0` itself — the exact value
 /// the fold's restriction to negative-zero addends protects.
 #[test]
@@ -283,7 +263,7 @@ fn negative_zero_addend_pin_case_stays_bitwise() {
 /// well-typed function, `vmap f` applied to a stacked batch of three
 /// (deterministically perturbed) argument sets must agree **bitwise**,
 /// element by element, with running `f` per example — across
-/// {standard, standard+memplan, none} × {interp, firvm, jit}. This pins down that the
+/// {standard, standard+memplan, none} × {interp, firvm}. This pins down that the
 /// rank-promotion lowering and the re-optimization of the vmapped
 /// program never change a single floating-point rounding.
 #[test]
@@ -343,7 +323,7 @@ fn random_programs_vmap_agrees_with_per_example_execution_bitwise() {
 
 /// All ten workload instances (the paper's nine benchmarks, with HAND in
 /// both its simple and complicated variants), bitwise across
-/// optimized/memplanned/unoptimized × interp/firvm/jit (sequential configurations, where
+/// optimized/memplanned/unoptimized × interp/firvm (sequential configurations, where
 /// float reassociation cannot occur) — the acceptance bar for every pass
 /// in the pipeline.
 #[test]

@@ -197,57 +197,42 @@ fn pipeline_config_partitions_the_store() {
     assert_eq!((p.hits, p.misses), (0, 1), "{p:?}");
 }
 
-/// Jit-tier promotion state is deliberately NOT persisted: a program
-/// loaded from disk starts at run count zero and must re-earn its
-/// promotion. (Persisting hotness would bake one process's traffic
-/// shape into every future process.)
+/// Tapes are not part of the stored artifact: the codec (unchanged since
+/// before tapes existed in `firvm`) writes and reads bytecode only, and
+/// `Program::assemble` re-derives the tapes on load. So a warm load costs
+/// no compile, and the very first call of the loaded program already runs
+/// its kernels as tapes — with the same dispatch counts, and the same
+/// bits, as the engine that compiled it.
 #[test]
-fn loaded_programs_start_cold_in_the_jit_tier() {
-    let tmp = TmpDir::new("jit-cold");
+fn loaded_programs_run_tapes_from_their_first_call() {
+    let tmp = TmpDir::new("tapes-on-load");
     let fun = gmm::objective_ir();
     let args = gmm::GmmData::generate(10, 2, 2, 4).ir_args();
-    let threshold = 3u64;
 
-    let first = EngineBuilder::new()
-        .backend_name("vm-seq")
-        .jit_threshold(threshold)
-        .persistent_cache(&tmp.0)
-        .build()
-        .unwrap();
-    let cf = first.compile(&fun).unwrap();
-    for _ in 0..threshold + 2 {
-        cf.call(&args).unwrap();
-    }
-    assert_eq!(
-        first.cache_stats().tier.unwrap().promotions,
-        1,
-        "the hot program must have promoted in the first engine"
-    );
+    let first = engine(&tmp.0);
+    let want = first.compile(&fun).unwrap().call(&args).unwrap();
+    let compiled = first.cache_stats().tier.unwrap();
+    assert_eq!(compiled.promotions, 1, "GMM has kernels that lower");
+    assert!(compiled.jit_hits > 0);
 
-    let second = EngineBuilder::new()
-        .backend_name("vm-seq")
-        .jit_threshold(threshold)
-        .persistent_cache(&tmp.0)
-        .build()
-        .unwrap();
-    let cf2 = second.compile(&fun).unwrap();
+    let second = engine(&tmp.0);
+    let cf = second.compile(&fun).unwrap();
     let stats = second.cache_stats();
     assert_eq!(stats.misses, 0, "must load from disk: {stats}");
     assert_eq!(stats.persistent.unwrap().hits, 1, "{stats}");
-
-    // Below the threshold: still cold. If promotion state had been
-    // persisted, the very first call would already run promoted.
-    for _ in 0..threshold - 1 {
-        cf2.call(&args).unwrap();
-    }
+    let loaded = stats.tier.unwrap();
     assert_eq!(
-        second.cache_stats().tier.unwrap().promotions,
-        0,
-        "a loaded program must start at run count zero"
+        (loaded.promotions, loaded.jit_hits, loaded.fallbacks),
+        (1, 0, 0),
+        "the loaded program has its tapes before it has run"
     );
-    // Crossing the threshold re-earns the promotion.
-    cf2.call(&args).unwrap();
-    assert_eq!(second.cache_stats().tier.unwrap().promotions, 1);
+    let got = cf.call(&args).unwrap();
+    assert_eq!(want[0].as_f64().to_bits(), got[0].as_f64().to_bits());
+    assert_eq!(
+        second.cache_stats().tier.unwrap(),
+        compiled,
+        "first call after a load dispatches exactly like first call after a compile"
+    );
 }
 
 /// Derived transforms hit the persistent cache without paying the
