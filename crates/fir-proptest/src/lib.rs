@@ -6,10 +6,12 @@
 //! scalars and rank-1/rank-2 `f64` arrays: scalar arithmetic and
 //! transcendentals, `select`, constant indexing, `len`/`replicate`,
 //! `map` (including nested maps over matrix rows, with captured outer
-//! scalars — fodder for the hoisting pass — and gathers `row[j]` on a
+//! scalars — fodder for the hoisting pass —, gathers `row[j]` on a
 //! matrix row at a literal or clamped data-dependent position, optionally
 //! from inside a `loop`: the shape `fir::lower::forward_row_reads`
-//! rewrites), `reduce` with recognized
+//! rewrites, and *row nests* `map (\row -> let ys = map f row in …)` that
+//! return the inner map's row, fold it in the body, or both: the shape the
+//! VM runs inside one kernel), `reduce` with recognized
 //! associative operators, prefix sums, `if` over scalar conditions,
 //! bounded sequential `loop`s, and `copy` + constant-index `update`
 //! pairs (fodder for the memory-planning pass's in-place lowering). Every rank-1 array in a generated program
@@ -262,7 +264,7 @@ impl Gen<'_> {
         let has_arr2 = !self.arr2.is_empty();
         // The copy+update arm (the last one) only exists in the full
         // profile.
-        let choices = if self.cfg.smooth { 11 } else { 12 };
+        let choices = if self.cfg.smooth { 12 } else { 13 };
         let choice = self.rng.below(0, choices);
         match choice {
             // Scalar chain.
@@ -411,7 +413,13 @@ impl Gen<'_> {
             // Copy then constant-index update: the functional in-place
             // pair the memory planner rewrites into a true in-place write
             // whenever the copy's source is dead after the update.
-            11 if has_arr1 && self.n > 0 => {
+            // A row nest: the inner map's row returned, folded, or both.
+            11 if has_arr2 && depth > 1 => {
+                let i = self.pick(self.arr2.len());
+                let mat = self.arr2[i];
+                self.row_nest(b, mat);
+            }
+            12 if has_arr1 && self.n > 0 => {
                 let i = self.pick(self.arr1.len());
                 let arr = self.arr1[i];
                 let y = b.copy(arr);
@@ -426,6 +434,82 @@ impl Gen<'_> {
                     self.f64s.push(v);
                 }
             }
+        }
+    }
+
+    /// `map (\row [row'] -> let ys = map f row [row'] in …) mat [mat']`: an
+    /// inner map over the row whose result is the lambda's row result, is
+    /// folded in the body, or both. `f` has a captured outer scalar and an
+    /// element of a captured rank-1 array among its free variables; the
+    /// second stream of the inner map is the row of a second matrix or one
+    /// fixed row captured from outside the nest (whose adjoint is then a
+    /// whole-row accumulator update inside the reverse map).
+    fn row_nest(&mut self, b: &mut Builder, mat: VarId) {
+        let i = self.pick(self.arr2.len());
+        let other = self.arr2[i];
+        // One stream, the rows of `other` beside it, or (half the time,
+        // when there is a row to take) one captured row of `other`.
+        let second = match self.rng.below(0, 4) {
+            0 => Ok(None),
+            1 => Ok(Some(other)),
+            _ if self.n > 0 => {
+                let c = self.rng.below(0, self.n) as i64;
+                Err(b.index(other, &[Atom::i64(c)]))
+            }
+            _ => Ok(None),
+        };
+        let scale = match self.f64s.len() {
+            0 => None,
+            len => {
+                let i = self.pick(len);
+                Some(self.f64s[i])
+            }
+        };
+        let table = if self.n > 0 {
+            let i = self.pick(self.arr1.len());
+            Some((self.arr1[i], self.rng.below(0, self.n) as i64))
+        } else {
+            None
+        };
+        let ending = self.rng.below(0, 3); // 0: the row, 1: its fold, 2: both
+        let op = self.reduce_op();
+        let mut out_tys = Vec::new();
+        if ending != 0 {
+            out_tys.push(Type::arr_f64(1));
+        }
+        if ending != 1 {
+            out_tys.push(Type::arr_f64(2));
+        }
+        let mut args = vec![mat];
+        args.extend(second.ok().flatten());
+        let outs = b.map(&out_tys, &args, |b, rows| {
+            let mut streams = rows.to_vec();
+            streams.extend(second.err());
+            let ys = b.map1(Type::arr_f64(1), &streams, |b, es| {
+                let mut v = self.scalar_chain(b, es);
+                if let Some((xs, c)) = table {
+                    let t = b.index(xs, &[Atom::i64(c)]);
+                    v = b.fadd(v, t.into());
+                }
+                if let Some(s) = scale {
+                    v = b.fmul(v, s.into());
+                }
+                vec![v]
+            });
+            let mut results = Vec::new();
+            if ending != 0 {
+                results.push(b.reduce_op(op, ys).into());
+            }
+            if ending != 1 {
+                results.push(ys.into());
+            }
+            results
+        });
+        if ending != 0 {
+            self.arr1.push(outs[0]);
+        }
+        if ending != 1 {
+            self.arr2.push(*outs.last().expect("a row result"));
         }
     }
 
@@ -553,6 +637,109 @@ mod tests {
             );
             assert!(gathers >= cases / 32, "{profile}: {gathers} of {cases}");
             assert!(in_loops > 0, "{profile}: no gather nested with a loop");
+        }
+    }
+
+    /// The corpora must contain row nests — an inner map over a matrix row
+    /// whose result the outer lambda returns as a row or folds in its body
+    /// — so that the fuzz square holds the VM's nested kernels to the
+    /// bitwise contract, and their vjps must contain the whole-array
+    /// `upd_acc` inside a `map` that a free array of a nest produces.
+    #[test]
+    fn corpora_contain_row_nests() {
+        use fir::ir::{Body, Exp, Lambda};
+        use std::collections::HashMap;
+        /// `(returns the inner map's row, folds it in the body)` for the
+        /// first row nest found.
+        fn nest_of(lam: &Lambda) -> Option<(bool, bool)> {
+            let params: Vec<VarId> = lam.params.iter().map(|p| p.var).collect();
+            lam.body.stms.iter().find_map(|s| match &s.exp {
+                Exp::Map { args, .. } if args.iter().any(|a| params.contains(a)) => {
+                    let ys = s.pat[0].var;
+                    let row = lam.body.result.contains(&Atom::Var(ys));
+                    let fold =
+                        lam.body.stms.iter().any(
+                            |t| matches!(&t.exp, Exp::Reduce { args, .. } if args.contains(&ys)),
+                        );
+                    (row || fold).then_some((row, fold))
+                }
+                _ => None,
+            })
+        }
+        fn find_nest(body: &Body) -> Option<(bool, bool)> {
+            body.stms.iter().find_map(|s| match &s.exp {
+                Exp::Map { lam, .. } => nest_of(lam).or_else(|| find_nest(&lam.body)),
+                Exp::Loop { body, .. } => find_nest(body),
+                _ => None,
+            })
+        }
+        /// Is there an `upd_acc` with fewer indices than its accumulator
+        /// has dimensions (an array-valued update) inside a `map`?
+        fn row_update(body: &Body, in_map: bool, accs: &mut HashMap<VarId, usize>) -> bool {
+            body.stms.iter().any(|s| {
+                for p in &s.pat {
+                    if let Type::Acc { rank, .. } = p.ty {
+                        accs.insert(p.var, rank);
+                    }
+                }
+                let mut lambda = |lam: &Lambda, in_map: bool| {
+                    for p in &lam.params {
+                        if let Type::Acc { rank, .. } = p.ty {
+                            accs.insert(p.var, rank);
+                        }
+                    }
+                    row_update(&lam.body, in_map, accs)
+                };
+                match &s.exp {
+                    Exp::UpdAcc { acc, idx, .. } => {
+                        in_map && accs.get(acc).is_some_and(|rank| idx.len() < *rank)
+                    }
+                    Exp::Map { lam, .. } => lambda(lam, true),
+                    Exp::WithAcc { lam, .. } => lambda(lam, in_map),
+                    Exp::Loop { params, body, .. } => {
+                        for (p, _) in params {
+                            if let Type::Acc { rank, .. } = p.ty {
+                                accs.insert(p.var, rank);
+                            }
+                        }
+                        row_update(body, in_map, accs)
+                    }
+                    Exp::If {
+                        then_br, else_br, ..
+                    } => row_update(then_br, in_map, accs) || row_update(else_br, in_map, accs),
+                    _ => false,
+                }
+            })
+        }
+        for (profile, cfg, cases) in [
+            ("full", GenConfig::default(), 256),
+            ("smooth", GenConfig::smooth(), 64),
+        ] {
+            let mut rng = TestRng::deterministic();
+            let (mut nests, mut rows, mut folds, mut updates) = (0, 0, 0, 0);
+            for case in 0..cases {
+                let (fun, _) = arbitrary_fun(&format!("n{case}"), &mut rng, &cfg);
+                let Some((row, fold)) = find_nest(&fun.body) else {
+                    continue;
+                };
+                nests += 1;
+                rows += usize::from(row);
+                folds += usize::from(fold);
+                let dfun = futhark_ad::vjp(&fun);
+                check_fun(&dfun).unwrap_or_else(|e| panic!("case {case}: {e}\n{dfun}"));
+                updates += usize::from(row_update(&dfun.body, false, &mut HashMap::new()));
+            }
+            println!(
+                "{profile}: {cases} programs, {nests} with a row nest ({rows} returning \
+                 the row, {folds} folding it), {updates} of their vjps with a whole-row \
+                 upd_acc inside a map"
+            );
+            assert!(nests >= cases / 32, "{profile}: {nests} of {cases}");
+            assert!(
+                rows > 0 && folds > 0,
+                "{profile}: {rows} rows, {folds} folds"
+            );
+            assert!(updates > 0, "{profile}: no whole-row upd_acc in any vjp");
         }
     }
 

@@ -3,35 +3,51 @@
 //! The inner loop is monomorphized over a const lane width `W`: maps run
 //! `W = 4` blocks (each op processes four elements as a `[f64; 4]`, which
 //! the optimizer turns into SIMD) with a `W = 1` tail; order-sensitive
-//! forms (reduce folds, scans) run `W = 1`. Bitwise equality with the
-//! generic bytecode path holds by construction for maps — lanes are
-//! independent elements put through the identical op sequence — and
-//! chunking uses the same [`run_chunked`] policy under the caller's
+//! forms (reduce folds, scans) and *serial* tapes — those with inner
+//! SOACs, rows, local temporaries or accumulators — run `W = 1`. Bitwise
+//! equality with the generic bytecode path holds by construction for maps
+//! — lanes are independent elements put through the identical op sequence
+//! — and chunking uses the same [`run_chunked`] policy under the caller's
 //! [`ExecConfig`], so chunk boundaries, the one-partial shortcut and the
 //! sequential partial combine all match the generic reduce/redomap
-//! exactly.
+//! exactly. A fold whose operator is one float binary op
+//! ([`TapeKernel::native`]) runs as a native loop with the tape's operand
+//! order instead of one tape run per element.
 //!
-//! A dispatch ([`map`], [`reduce`], [`redomap`], [`scan`]) allocates
-//! nothing but its outputs: arguments and captures are borrowed from the
-//! frame, gather tables and accumulator handles are bound in stack arrays,
-//! and register files come from a [`Scratch`] the caller reuses across
-//! dispatches. Each returns `false`, having touched nothing, when a value
-//! in the frame is outside the tape's shape class (the half of the
-//! contract bytecode does not record: ranks and element types); the
-//! caller then runs the generic path.
+//! **One dispatch path at every nest depth.** A dispatch takes its
+//! operands from an [`Operands`] source: the VM frame for a SOAC
+//! instruction of the main body or of a generic kernel ([`map`],
+//! [`reduce`], [`redomap`], [`scan`]), the registers of the enclosing tape
+//! for an [`Op::Inner`]. Both go through the same binder ([`Call`]) and the
+//! same chunk functions, so an inner `reduce` of extent 40 under a
+//! threshold of 8 is chunked, folded and combined exactly as it would be
+//! from the main body. A `map` nest therefore runs inside one kernel: the
+//! rows of a rank-2 stream are views re-pointed per element, the columns
+//! of an inner `map` are temporaries owned by the [`Scratch`], and a row
+//! result is written at `[i·len .. (i+1)·len]` of one flat buffer.
+//!
+//! A dispatch allocates nothing but its outputs: operands are borrowed
+//! from their source, array views and accumulator handles are bound in
+//! stack arrays, and register files and temporaries come from a
+//! [`Scratch`] — one per nest depth — the caller reuses across dispatches;
+//! an inner dispatch has no outputs to allocate. A dispatch from a frame
+//! returns `false`, having touched nothing, when a value in the frame is
+//! outside the tape's shape class (the half of the contract bytecode does
+//! not record: ranks and element types); the caller then runs the generic
+//! path. An inner dispatch had its classes settled at lowering.
 
-use fir::types::ScalarType;
+use interp::value::Data;
 use interp::{arena, Accum, Array, ExecConfig, Value};
 
 use crate::bytecode::{Opnd, Reg};
 use crate::pool::{run_chunked, should_parallelize};
 use crate::tape::{
-    BBin, Cls, FBin, FCmp, FUn, IBin, ICmp, IUn, Op, Tape, TapeKernel, MAX_ACCS, MAX_STREAMS,
-    MAX_TABLES,
+    BBin, Cls, Col, FBin, FCmp, FUn, IBin, ICmp, IUn, InnerOp, NativeFold, Op, Slot, Tape,
+    TapeKernel, LOCAL, MAX_ACCS, MAX_STREAMS, MAX_TABLES,
 };
 
-/// A borrowed `f64` gather table with its leading dimensions: `d0` is the
-/// outer dim, `d1` the row length for rank-2 tables (`1` otherwise), so
+/// A view of `f64` data with its leading dimensions: `d0` is the outer
+/// dim, `d1` the row length for rank-2 views (`1` otherwise), so
 /// `t.data[i0 * d1 + i1]` is exactly `Array::offset_of`'s row-major walk.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Table<'a> {
@@ -40,40 +56,207 @@ pub(crate) struct Table<'a> {
     pub d1: usize,
 }
 
-impl Table<'_> {
+impl<'a> Table<'a> {
     const EMPTY: Table<'static> = Table {
         data: &[],
         d0: 0,
         d1: 1,
     };
+
+    fn rank1(data: &'a [f64]) -> Table<'a> {
+        Table {
+            data,
+            d0: data.len(),
+            d1: 1,
+        }
+    }
 }
 
-/// One element stream of a map/redomap: the per-position scalar class was
-/// checked against the tape's input classes at dispatch.
+/// The array slots of a running tape: the views bound for this element
+/// (`ext`) and the tape's local temporaries (slots with [`LOCAL`] set).
+#[derive(Clone, Copy)]
+struct Views<'e> {
+    ext: &'e [Table<'e>],
+    temps: &'e [Vec<f64>],
+}
+
+impl<'e> Views<'e> {
+    #[inline]
+    fn get(&self, a: u16) -> Table<'e> {
+        if a & LOCAL != 0 {
+            Table::rank1(&self.temps[(a & !LOCAL) as usize])
+        } else {
+            self.ext[a as usize]
+        }
+    }
+}
+
+/// One operand of a dispatch — an argument, a capture — as its source
+/// presents it.
+pub(crate) enum Arg<'a> {
+    F(f64),
+    I(i64),
+    B(bool),
+    /// `f64` data of the given rank (`1` or `2`; `0` for a slot of an
+    /// enclosing tape that nothing requires a rank of).
+    Arr(Table<'a>, u8),
+    /// A rank-1 `i64` array.
+    Ints(&'a [i64]),
+    Acc(&'a Accum),
+    /// Anything a tape has no class for.
+    Other,
+}
+
+/// Where a dispatch's operands live: one binder ([`Call`]) serves a SOAC
+/// instruction reading a VM frame and an inner SOAC reading the registers
+/// of the tape it sits in.
+pub(crate) trait Operands<'a>: Copy + Sync {
+    /// How the dispatching instruction names an operand.
+    type Ref: Copy + Sync + 'static;
+    /// Whether result columns become array values (and so come from the
+    /// arena) rather than staying in the scratch.
+    const PUBLISH: bool;
+    fn get(self, r: Self::Ref) -> Arg<'a>;
+}
+
+impl<'a> Operands<'a> for &'a [Value] {
+    type Ref = Reg;
+    const PUBLISH: bool = true;
+
+    fn get(self, r: Reg) -> Arg<'a> {
+        match &self[r as usize] {
+            Value::F64(x) => Arg::F(*x),
+            Value::I64(x) => Arg::I(*x),
+            Value::Bool(x) => Arg::B(*x),
+            Value::Acc(h) => Arg::Acc(h),
+            Value::Arr(arr) => match (&arr.data, &arr.shape[..]) {
+                (Data::F64(v), &[d0]) => Arg::Arr(Table { data: v, d0, d1: 1 }, 1),
+                (Data::F64(v), &[d0, d1]) => Arg::Arr(Table { data: v, d0, d1 }, 2),
+                (Data::I64(v), [_]) => Arg::Ints(v),
+                _ => Arg::Other,
+            },
+        }
+    }
+}
+
+/// The registers of a tape mid-element, as the operand source of its inner
+/// SOACs: classes and ranks were unified at lowering, so binding against
+/// this source cannot fail on them.
+#[derive(Clone, Copy)]
+struct Regs<'e> {
+    files: &'e Files<1>,
+    arrs: Views<'e>,
+    ranks: &'e [u8],
+    accs: &'e [Option<&'e Accum>],
+}
+
+impl<'e> Operands<'e> for Regs<'e> {
+    type Ref = Slot;
+    const PUBLISH: bool = false;
+
+    fn get(self, r: Slot) -> Arg<'e> {
+        match r {
+            None => Arg::Other,
+            Some((Cls::F, i)) => Arg::F(self.files.f[i as usize][0]),
+            Some((Cls::I, i)) => Arg::I(self.files.i[i as usize][0]),
+            Some((Cls::B, i)) => Arg::B(self.files.b[i as usize][0]),
+            Some((Cls::A, a)) if a & LOCAL != 0 => Arg::Arr(self.arrs.get(a), 1),
+            Some((Cls::A, a)) => Arg::Arr(self.arrs.get(a), self.ranks[a as usize]),
+            Some((Cls::C, c)) => {
+                Arg::Acc(self.accs[c as usize].expect("accumulator slot bound at dispatch"))
+            }
+        }
+    }
+}
+
+/// One element stream of a map/redomap: the per-position class was checked
+/// against the tape's input classes at dispatch.
 #[derive(Debug, Clone, Copy)]
 enum Stream<'a> {
     F(&'a [f64]),
     I(&'a [i64]),
+    /// The rows (of length `d1`) of a rank-2 `f64` array: the parameter's
+    /// array slot is re-pointed at row `i` for element `i`.
+    Rows {
+        data: &'a [f64],
+        d1: usize,
+    },
     /// An accumulator argument: the shared handle goes to every element
     /// (the generic `write_elem_params` clones it per element), so it is
     /// lane-uniform like a capture and lives in the accumulator table.
     Acc,
 }
 
-/// Run the op sequence over `W`-lane register files. `arrs` is the borrowed
-/// input-array table for gathers; it is lane-uniform (arrays are inputs,
-/// never per-element values).
+/// `x op y` on `f64`, exactly as `run_ops` computes a lane of [`Op::Bin`].
+#[inline(always)]
+fn fbin(op: FBin, x: f64, y: f64) -> f64 {
+    match op {
+        FBin::Add => x + y,
+        FBin::Sub => x - y,
+        FBin::Mul => x * y,
+        FBin::Div => x / y,
+        FBin::Pow => x.powf(y),
+        FBin::Min => x.min(y),
+        FBin::Max => x.max(y),
+        FBin::Rem => x % y,
+    }
+}
+
+impl NativeFold {
+    /// One fold step, in the operator's operand order.
+    #[inline]
+    fn step(self, acc: f64, x: f64) -> f64 {
+        if self.swapped {
+            fbin(self.op, x, acc)
+        } else {
+            fbin(self.op, acc, x)
+        }
+    }
+
+    /// Fold a slice in element order, the operator chosen outside the loop
+    /// (each arm inlines `fbin` at a constant operator).
+    fn fold(self, acc: f64, xs: &[f64]) -> f64 {
+        macro_rules! fold {
+            ($op:expr) => {
+                if self.swapped {
+                    xs.iter().fold(acc, |a, &x| fbin($op, x, a))
+                } else {
+                    xs.iter().fold(acc, |a, &x| fbin($op, a, x))
+                }
+            };
+        }
+        match self.op {
+            FBin::Add => fold!(FBin::Add),
+            FBin::Sub => fold!(FBin::Sub),
+            FBin::Mul => fold!(FBin::Mul),
+            FBin::Div => fold!(FBin::Div),
+            FBin::Pow => fold!(FBin::Pow),
+            FBin::Min => fold!(FBin::Min),
+            FBin::Max => fold!(FBin::Max),
+            FBin::Rem => fold!(FBin::Rem),
+        }
+    }
+}
+
+/// Run `ops[pc..]` over `W`-lane register files, up to the end or to the
+/// next op that needs more than registers and views (an inner SOAC, a
+/// local temporary being built: [`Call::run_one`] handles those and
+/// resumes); returns where it stopped. `arrs` holds the array slots; they
+/// are lane-uniform (a tape whose arrays differ per element runs at
+/// `W = 1`).
 #[inline]
 fn run_ops<const W: usize>(
     ops: &[Op],
+    pc: usize,
     f: &mut [[f64; W]],
     b: &mut [[bool; W]],
     ii: &mut [[i64; W]],
-    arrs: &[Table],
+    arrs: Views,
     accs: &[Option<&Accum>],
-) {
-    for op in ops {
+) -> usize {
+    for (at, op) in ops.iter().enumerate().skip(pc) {
         match *op {
+            Op::Inner(_) | Op::Replicate(..) => return at,
             Op::MovF(d, s) => f[d as usize] = f[s as usize],
             Op::MovB(d, s) => b[d as usize] = b[s as usize],
             Op::MovI(d, s) => ii[d as usize] = ii[s as usize],
@@ -393,7 +576,7 @@ fn run_ops<const W: usize>(
                 }
             }
             Op::IndexF(d, a, s) => {
-                let t = arrs[a as usize];
+                let t = arrs.get(a);
                 let x = ii[s as usize];
                 let o = &mut f[d as usize];
                 for l in 0..W {
@@ -405,7 +588,7 @@ fn run_ops<const W: usize>(
                 }
             }
             Op::Index2F(d, a, s0, s1) => {
-                let t = arrs[a as usize];
+                let t = arrs.get(a);
                 let x0 = ii[s0 as usize];
                 let x1 = ii[s1 as usize];
                 let o = &mut f[d as usize];
@@ -430,7 +613,7 @@ fn run_ops<const W: usize>(
                 }
             }
             Op::LenA(d, a) => {
-                ii[d as usize] = [arrs[a as usize].d0 as i64; W];
+                ii[d as usize] = [arrs.get(a).d0 as i64; W];
             }
             // Scatter-adds call `Accum::add_at` directly: same negative-index
             // panic as `read_usizes`, same silent out-of-bounds skip, same
@@ -467,8 +650,31 @@ fn run_ops<const W: usize>(
                     }
                 }
             }
+            // Whole-row adds: `Accum::add_slice` from the row's offset, like
+            // the generic `UpdAcc` with an array value (same bounds skip, same
+            // per-cell zero-skipping CAS add, in cell order).
+            Op::UpdAccRow(c, a) => {
+                let acc = accs[c as usize].expect("accumulator slot bound at dispatch");
+                let row = arrs.get(a).data;
+                for _ in 0..W {
+                    acc.add_slice(0, row);
+                }
+            }
+            Op::UpdAccRow1(c, i_src, a) => {
+                let acc = accs[c as usize].expect("accumulator slot bound at dispatch");
+                let row = arrs.get(a).data;
+                for i in ii[i_src as usize] {
+                    assert!(i >= 0, "negative index {i}");
+                    let idx = [i as usize];
+                    if acc.in_bounds(&idx) {
+                        let (off, _) = acc.offset_of(&idx);
+                        acc.add_slice(off, row);
+                    }
+                }
+            }
         }
     }
+    ops.len()
 }
 
 /// Region entry point: run over caller-provided register files (stack
@@ -476,7 +682,12 @@ fn run_ops<const W: usize>(
 /// rejects tapes with `i64` or array registers.
 #[inline]
 pub(crate) fn run_region_ops(ops: &[Op], f: &mut [[f64; 1]], b: &mut [[bool; 1]]) {
-    run_ops::<1>(ops, f, b, &mut [], &[], &[]);
+    let none = Views {
+        ext: &[],
+        temps: &[],
+    };
+    let end = run_ops::<1>(ops, 0, f, b, &mut [], none, &[]);
+    debug_assert_eq!(end, ops.len(), "regions are straight-line scalar code");
 }
 
 /// One set of `W`-lane register files.
@@ -487,15 +698,60 @@ struct Files<const W: usize> {
     i: Vec<[i64; W]>,
 }
 
+/// One collected result column: the flat row-major data and, for a row
+/// column, the row length once an element has said it.
+#[derive(Default)]
+struct OutCol {
+    data: Vec<f64>,
+    row: Option<usize>,
+}
+
+impl OutCol {
+    /// Append element `i`'s row; `lo..hi` are the chunk's elements. Every
+    /// row of a column has the first one's length.
+    fn push_row(&mut self, row: &[f64], i: usize, lo: usize, hi: usize, publish: bool) {
+        match self.row {
+            None => {
+                self.row = Some(row.len());
+                if publish {
+                    self.data = arena::take_f64((hi - lo) * row.len());
+                } else {
+                    self.data.reserve((hi - lo) * row.len());
+                }
+            }
+            Some(len) if len != row.len() => irregular(i, row.len(), lo, len),
+            Some(_) => {}
+        }
+        self.data.extend_from_slice(row);
+    }
+}
+
+/// The first `n` columns of `cols`, which only ever grows: the buffers of a
+/// kernel with fewer columns stay allocated for the next one with more.
+fn first_cols(cols: &mut Vec<OutCol>, n: usize) -> &mut [OutCol] {
+    if cols.len() < n {
+        cols.resize_with(n, OutCol::default);
+    }
+    &mut cols[..n]
+}
+
+/// The panic of a `map` whose rows differ in length — `Array::stack`'s, so
+/// the tape and generic paths fail alike.
+fn irregular(i: usize, len: usize, first: usize, first_len: usize) -> ! {
+    panic!("irregular array: row {i} has shape [{len}], row {first} has [{first_len}]")
+}
+
 /// The buffers tape dispatches run in, reused from one dispatch to the next
 /// by whoever owns the strand of execution (a `run_program`, or one chunk
 /// of a parallel SOAC): after the first few dispatches nothing here
-/// allocates.
+/// allocates. One `Scratch` serves one nest depth; the inner SOACs of a
+/// tape running here run in `inner`.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// 4-lane files of a map tape (loaded only for chunks of ≥ 4 elements).
     wide: Files<4>,
-    /// 1-lane files: a map tape's tail, or a reduce/scan operator.
+    /// 1-lane files: a map tape's tail or a serial map tape, or a
+    /// reduce/scan operator.
     one: Files<1>,
     /// The reduce tape of a redomap (its map tape holds the other two).
     red: Files<1>,
@@ -503,24 +759,29 @@ pub(crate) struct Scratch {
     /// element tuple fed to the operator.
     acc: Vec<f64>,
     elems: Vec<f64>,
-    /// A map's or scan's output columns, moved out into the results.
-    cols: Vec<Vec<f64>>,
+    /// A map's or scan's output columns (see [`first_cols`]).
+    cols: Vec<OutCol>,
+    /// The local temporaries of the serial map tape running here, indexed
+    /// by array slot.
+    temps: Vec<Vec<f64>>,
+    inner: Option<Box<Scratch>>,
 }
 
-/// One kernel's side of a dispatch: its tape and what it borrows from the
-/// frame — the capture values, with `f64` arrays bound as gather tables
+/// One kernel's side of a dispatch: its tape and what it borrows from its
+/// operand source — the capture values, with `f64` arrays bound as views
 /// and accumulator handles bound by slot.
-struct Call<'a> {
+struct Call<'a, S: Operands<'a>> {
     k: &'a TapeKernel,
-    regs: &'a [Value],
-    captures: &'a [Reg],
+    cfg: &'a ExecConfig,
+    src: S,
+    captures: &'a [S::Ref],
     tables: [Table<'a>; MAX_TABLES],
     accs: [Option<&'a Accum>; MAX_ACCS],
 }
 
-impl<'a> Call<'a> {
+impl<'a, S: Operands<'a>> Call<'a, S> {
     /// Bind an accumulator handle to table slot `c`, checking it against
-    /// the rank the tape's scatter-adds require (`0`: passed through only).
+    /// the rank the tape's adds require (`0`: passed through only).
     fn bind_acc(&mut self, c: u16, h: &'a Accum) -> Option<()> {
         let need = self.k.tape.c_ranks[c as usize] as usize;
         if need != 0 && h.shape().len() != need {
@@ -532,40 +793,38 @@ impl<'a> Call<'a> {
 
     /// Check the capture values against the tape's inferred classes and
     /// borrow the arrays and accumulators among them. Captured `f64`
-    /// arrays are borrowed whole as gather tables; their rank must match
-    /// what the tape's gathers require (`a_ranks`, with `0` = any rank,
-    /// for slots only `Len` touches).
-    fn bind(k: &'a TapeKernel, regs: &'a [Value], captures: &'a [Reg]) -> Option<Call<'a>> {
+    /// arrays are borrowed whole; their rank must match what the tape
+    /// requires (`a_ranks`, with `0` = any rank, for slots only `Len`
+    /// touches).
+    fn bind(
+        k: &'a TapeKernel,
+        cfg: &'a ExecConfig,
+        src: S,
+        captures: &'a [S::Ref],
+    ) -> Option<Call<'a, S>> {
         let slots = &k.tape.inputs[k.num_params..];
         if slots.len() != captures.len() {
             return None;
         }
         let mut call = Call {
             k,
-            regs,
+            cfg,
+            src,
             captures,
             tables: [Table::EMPTY; MAX_TABLES],
             accs: [None; MAX_ACCS],
         };
         for (slot, r) in slots.iter().zip(captures) {
-            match (*slot, &regs[*r as usize]) {
-                (None, _)
-                | (Some((Cls::F, _)), Value::F64(_))
-                | (Some((Cls::B, _)), Value::Bool(_))
-                | (Some((Cls::I, _)), Value::I64(_)) => {}
-                (Some((Cls::C, c)), Value::Acc(h)) => call.bind_acc(c, h)?,
-                (Some((Cls::A, a)), Value::Arr(arr)) if arr.elem() == ScalarType::F64 => {
-                    let need = k.tape.a_ranks[a as usize];
-                    let (d0, d1) = match arr.shape[..] {
-                        [d0] if need <= 1 => (d0, 1),
-                        [d0, d1] if need == 0 || need == 2 => (d0, d1),
-                        _ => return None,
-                    };
-                    call.tables[a as usize] = Table {
-                        data: arr.f64s(),
-                        d0,
-                        d1,
-                    };
+            let Some((cls, i)) = *slot else { continue };
+            match (cls, src.get(*r)) {
+                (Cls::F, Arg::F(_)) | (Cls::B, Arg::B(_)) | (Cls::I, Arg::I(_)) => {}
+                (Cls::C, Arg::Acc(h)) => call.bind_acc(i, h)?,
+                (Cls::A, Arg::Arr(t, rank)) => {
+                    let need = k.tape.a_ranks[i as usize];
+                    if need != 0 && need != rank {
+                        return None;
+                    }
+                    call.tables[i as usize] = t;
                 }
                 _ => return None,
             }
@@ -584,73 +843,220 @@ impl<'a> Call<'a> {
         files.i.clear();
         files.i.extend(t.i_init.iter().map(|&x| [x; W]));
         for (slot, r) in t.inputs[self.k.num_params..].iter().zip(self.captures) {
-            match (*slot, &self.regs[*r as usize]) {
-                (Some((Cls::F, t)), Value::F64(x)) => files.f[t as usize] = [*x; W],
-                (Some((Cls::B, t)), Value::Bool(x)) => files.b[t as usize] = [*x; W],
-                (Some((Cls::I, t)), Value::I64(x)) => files.i[t as usize] = [*x; W],
+            match (*slot, self.src.get(*r)) {
+                (Some((Cls::F, t)), Arg::F(x)) => files.f[t as usize] = [x; W],
+                (Some((Cls::B, t)), Arg::B(x)) => files.b[t as usize] = [x; W],
+                (Some((Cls::I, t)), Arg::I(x)) => files.i[t as usize] = [x; W],
                 _ => {} // dead, or bound in a table
             }
         }
     }
 
+    /// Run a tape that is not serial (a 4-lane block of a map, a fold
+    /// operator): registers and the views bound at dispatch are all it
+    /// touches.
     fn run<const W: usize>(&self, files: &mut Files<W>) {
-        let (tables, accs) = (&self.tables, &self.accs);
-        let ops = &self.k.tape.ops;
-        run_ops::<W>(ops, &mut files.f, &mut files.b, &mut files.i, tables, accs);
+        let tape = &self.k.tape;
+        let arrs = Views {
+            ext: &self.tables,
+            temps: &[],
+        };
+        let (f, b, i) = (&mut files.f, &mut files.b, &mut files.i);
+        let end = run_ops::<W>(&tape.ops, 0, f, b, i, arrs, &self.accs);
+        debug_assert_eq!(end, tape.ops.len(), "a serial tape outside `run_one`");
     }
 
-    /// Borrow map/redomap element streams as rank-1 slices of one common
-    /// length, each matching the class the tape inferred for its parameter
-    /// slot (`f64` or `i64` — `i64` streams are how iota-driven gather
-    /// kernels get their index argument). Accumulator arguments bind their
-    /// shared handle (lane-uniform) and do not contribute a length; at
-    /// least one real array stream is required. Dead slots accept either
-    /// element type.
-    fn bind_streams(&mut self, args: &[Reg]) -> Option<(usize, [Stream<'a>; MAX_STREAMS])> {
-        let mut streams = [Stream::Acc; MAX_STREAMS];
+    /// Run the tape for one element at lane width 1: `tables` are this
+    /// element's views (row slots re-pointed), `temps` the tape's local
+    /// temporaries, `inner` the scratch of the next nest depth. Scalar runs
+    /// go through `run_ops`; in between, an inner SOAC dispatches through
+    /// the same entry points as one from a frame, and `replicate` fills a
+    /// temporary.
+    fn run_one(
+        &self,
+        tables: &[Table; MAX_TABLES],
+        files: &mut Files<1>,
+        temps: &mut [Vec<f64>],
+        inner: &mut Option<Box<Scratch>>,
+    ) {
+        let tape = &self.k.tape;
+        let mut pc = 0;
+        loop {
+            let arrs = Views { ext: tables, temps };
+            let (f, b, i) = (&mut files.f, &mut files.b, &mut files.i);
+            pc = run_ops::<1>(&tape.ops, pc, f, b, i, arrs, &self.accs);
+            match tape.ops.get(pc) {
+                None => return,
+                Some(&Op::Inner(j)) => {
+                    let child = inner.get_or_insert_with(Default::default);
+                    self.run_inner(&tape.inner[j as usize], tables, files, temps, child);
+                }
+                Some(&Op::Replicate(a, n, x)) => {
+                    let n = files.i[n as usize][0].max(0) as usize;
+                    let t = &mut temps[(a & !LOCAL) as usize];
+                    t.clear();
+                    t.resize(n, files.f[x as usize][0]);
+                }
+                Some(op) => unreachable!("run_ops stopped at {op:?}"),
+            }
+            pc += 1;
+        }
+    }
+
+    /// Borrow map/redomap element streams of one common length, each
+    /// matching the class the tape inferred for its parameter slot: a
+    /// rank-1 `f64` or `i64` array for a scalar (`i64` streams are how
+    /// iota-driven gather kernels get their index argument), a rank-2 `f64`
+    /// array for a row. Accumulator arguments bind their shared handle
+    /// (lane-uniform) and do not contribute a length; at least one real
+    /// array stream is required. Dead slots accept any of these.
+    fn bind_streams(
+        &mut self,
+        args: &[S::Ref],
+        streams: &mut [Stream<'a>; MAX_STREAMS],
+    ) -> Option<usize> {
         let mut n: Option<usize> = None;
-        let regs = self.regs;
+        let tape = &self.k.tape;
         for (p, r) in args.iter().enumerate() {
-            streams[p] = match (self.k.tape.inputs[p], &regs[*r as usize]) {
-                (Some((Cls::C, c)), Value::Acc(h)) => {
+            let (len, stream) = match (tape.inputs[p], self.src.get(*r)) {
+                (Some((Cls::C, c)), Arg::Acc(h)) => {
                     self.bind_acc(c, h)?;
-                    Stream::Acc
+                    continue;
                 }
-                (cls, Value::Arr(a)) => {
-                    if a.shape.len() != 1 || *n.get_or_insert(a.shape[0]) != a.shape[0] {
-                        return None;
-                    }
-                    match (cls, a.elem()) {
-                        (Some((Cls::F, _)) | None, ScalarType::F64) => Stream::F(a.f64s()),
-                        (Some((Cls::I, _)) | None, ScalarType::I64) => Stream::I(a.i64s()),
-                        _ => return None,
-                    }
-                }
+                (None, Arg::Acc(_)) => continue,
+                (Some((Cls::F, _)), Arg::Arr(t, 1)) => (t.d0, Stream::F(t.data)),
+                (Some((Cls::A, a)), Arg::Arr(t, 2)) if tape.a_ranks[a as usize] <= 1 => (
+                    t.d0,
+                    Stream::Rows {
+                        data: t.data,
+                        d1: t.d1,
+                    },
+                ),
+                (Some((Cls::I, _)), Arg::Ints(xs)) => (xs.len(), Stream::I(xs)),
+                // Never read: only the extent matters.
+                (None, Arg::Arr(t, _)) => (t.d0, Stream::F(&[])),
+                (None, Arg::Ints(xs)) => (xs.len(), Stream::I(&[])),
                 _ => return None,
             };
-        }
-        Some((n?, streams))
-    }
-}
-
-/// Borrow every argument as a rank-1 `f64` slice of one common length —
-/// the shape class of order-sensitive streams (reduce/scan elements).
-fn f64_arrays<'a>(regs: &'a [Value], args: &[Reg]) -> Option<(usize, [&'a [f64]; MAX_STREAMS])> {
-    let mut arrs: [&[f64]; MAX_STREAMS] = [&[]; MAX_STREAMS];
-    let mut n: Option<usize> = None;
-    for (j, r) in args.iter().enumerate() {
-        match &regs[*r as usize] {
-            Value::Arr(a)
-                if a.shape.len() == 1
-                    && a.elem() == ScalarType::F64
-                    && *n.get_or_insert(a.shape[0]) == a.shape[0] =>
-            {
-                arrs[j] = a.f64s()
+            if *n.get_or_insert(len) != len {
+                return None;
             }
-            _ => return None,
+            streams[p] = stream;
+        }
+        n
+    }
+
+    /// Borrow every argument as a rank-1 `f64` slice of one common length —
+    /// the shape class of order-sensitive streams (reduce/scan elements).
+    fn f64_streams(&self, args: &[S::Ref]) -> Option<(usize, [&'a [f64]; MAX_STREAMS])> {
+        let mut arrs: [&[f64]; MAX_STREAMS] = [&[]; MAX_STREAMS];
+        let mut n: Option<usize> = None;
+        for (j, r) in args.iter().enumerate() {
+            match self.src.get(*r) {
+                Arg::Arr(t, 1) if *n.get_or_insert(t.d0) == t.d0 => arrs[j] = t.data,
+                _ => return None,
+            }
+        }
+        Some((n?, arrs))
+    }
+
+    /// Run one inner SOAC of this tape mid-element: operands from the
+    /// tape's registers, the dispatch itself through the entry points a
+    /// frame uses, results into the tape's `f64` registers (folds) or local
+    /// temporaries (map columns, swapped with the child's column buffers so
+    /// neither side allocates).
+    fn run_inner(
+        &self,
+        op: &InnerOp,
+        tables: &[Table; MAX_TABLES],
+        files: &mut Files<1>,
+        temps: &mut [Vec<f64>],
+        child: &mut Scratch,
+    ) {
+        fn regs<'e>(
+            tape: &'e Tape,
+            tables: &'e [Table<'e>],
+            accs: &'e [Option<&'e Accum>],
+            files: &'e Files<1>,
+            temps: &'e [Vec<f64>],
+        ) -> Regs<'e> {
+            Regs {
+                files,
+                arrs: Views { ext: tables, temps },
+                ranks: &tape.a_ranks,
+                accs,
+            }
+        }
+        fn neutral(files: &Files<1>, regs: &[u16]) -> [f64; MAX_STREAMS] {
+            let mut ne = [0.0; MAX_STREAMS];
+            for (x, r) in ne.iter_mut().zip(regs) {
+                *x = files.f[*r as usize][0];
+            }
+            ne
+        }
+        // Classes and ranks were settled at lowering; what is left to go
+        // wrong is streams of different extents, which the generic path
+        // meets as an out-of-bounds read.
+        fn ragged<T>() -> T {
+            panic!("inner SOAC over arrays of different lengths")
+        }
+        let (cfg, tape, accs) = (self.cfg, &self.k.tape, &self.accs);
+        match op {
+            InnerOp::Map {
+                k,
+                args,
+                captures,
+                dsts,
+            } => {
+                let src = regs(tape, tables, accs, files, temps);
+                map_into(k, cfg, src, args, captures, child).unwrap_or_else(ragged);
+                for (col, a) in child.cols.iter_mut().zip(dsts) {
+                    std::mem::swap(&mut col.data, &mut temps[(*a & !LOCAL) as usize]);
+                }
+            }
+            InnerOp::Reduce {
+                k,
+                neutral: ne,
+                args,
+                captures,
+                dsts,
+            } => {
+                let ne = &neutral(files, ne)[..ne.len()];
+                let src = regs(tape, tables, accs, files, temps);
+                reduce_into(k, cfg, src, ne, args, captures, child).unwrap_or_else(ragged);
+                for (d, x) in dsts.iter().zip(&child.acc) {
+                    files.f[*d as usize][0] = *x;
+                }
+            }
+            InnerOp::Redomap {
+                rk,
+                mk,
+                neutral: ne,
+                args,
+                red_captures,
+                map_captures,
+                dsts,
+            } => {
+                let ne = &neutral(files, ne)[..ne.len()];
+                let src = regs(tape, tables, accs, files, temps);
+                redomap_into(
+                    rk,
+                    mk,
+                    cfg,
+                    src,
+                    ne,
+                    args,
+                    red_captures,
+                    map_captures,
+                    child,
+                )
+                .unwrap_or_else(ragged);
+                for (d, x) in dsts.iter().zip(&child.acc) {
+                    files.f[*d as usize][0] = *x;
+                }
+            }
         }
     }
-    Some((n?, arrs))
 }
 
 /// Read the neutral element as flat floats.
@@ -674,76 +1080,167 @@ fn neutral_f64(regs: &[Value], neutral: &[Opnd]) -> Option<[f64; MAX_STREAMS]> {
 fn load_block4(tape: &Tape, files: &mut Files<4>, args: &[Stream], i: usize) {
     for (p, s) in args.iter().enumerate() {
         match (tape.inputs[p], s) {
-            (Some((Cls::F, r)), Stream::F(a)) => {
-                files.f[r as usize] = [a[i], a[i + 1], a[i + 2], a[i + 3]]
-            }
-            (Some((Cls::I, r)), Stream::I(a)) => {
-                files.i[r as usize] = [a[i], a[i + 1], a[i + 2], a[i + 3]]
-            }
+            (Some((Cls::F, r)), Stream::F(a)) => files.f[r as usize].copy_from_slice(&a[i..i + 4]),
+            (Some((Cls::I, r)), Stream::I(a)) => files.i[r as usize].copy_from_slice(&a[i..i + 4]),
             (Some((Cls::C, _)), Stream::Acc) | (None, _) => {}
             _ => unreachable!("stream class checked at dispatch"),
         }
     }
 }
 
-/// Load one element of every stream into its parameter slot (`W = 1`).
+/// Load element `i` of every stream into its parameter slot (`W = 1`): a
+/// scalar into its register, a row by re-pointing its array slot.
 #[inline]
-fn load_one(tape: &Tape, files: &mut Files<1>, args: &[Stream], i: usize) {
+fn load_one<'a>(
+    tape: &Tape,
+    files: &mut Files<1>,
+    tables: &mut [Table<'a>; MAX_TABLES],
+    args: &[Stream<'a>],
+    i: usize,
+) {
     for (p, s) in args.iter().enumerate() {
         match (tape.inputs[p], s) {
             (Some((Cls::F, r)), Stream::F(a)) => files.f[r as usize][0] = a[i],
             (Some((Cls::I, r)), Stream::I(a)) => files.i[r as usize][0] = a[i],
+            (Some((Cls::A, a)), Stream::Rows { data, d1 }) => {
+                tables[a as usize] = Table::rank1(&data[i * d1..(i + 1) * d1])
+            }
             (Some((Cls::C, _)), Stream::Acc) | (None, _) => {}
             _ => unreachable!("stream class checked at dispatch"),
         }
     }
 }
 
-/// Elements `lo..hi` of a `map`, leaving one flat buffer per float result
-/// in `cols`: 4-lane blocks with a 1-lane tail. Tapes with scatter-adds
-/// run every element at lane width 1 so the add order is exactly the
-/// generic per-element order. Each register file is loaded only if the
-/// chunk uses it.
-fn map_chunk(
-    call: &Call,
-    args: &[Stream],
+/// Size the temporaries for `tape`.
+fn size_temps(temps: &mut Vec<Vec<f64>>, tape: &Tape) {
+    if temps.len() < tape.num_locals {
+        temps.resize_with(tape.num_locals, Vec::new);
+    }
+}
+
+/// Elements `lo..hi` of a `map`, leaving one flat buffer per float or row
+/// result in `s.cols`: 4-lane blocks with a 1-lane tail, or every element
+/// at lane width 1 for a serial tape (so that scatter-adds land in the
+/// generic per-element order, and rows and temporaries are per element).
+/// Each register file is loaded only if the chunk uses it.
+fn map_chunk<'a, S: Operands<'a>>(
+    call: &Call<'a, S>,
+    args: &[Stream<'a>],
     lo: usize,
     hi: usize,
-    wide: &mut Files<4>,
-    one: &mut Files<1>,
-    cols: &mut Vec<Vec<f64>>,
+    s: &mut Scratch,
 ) {
     let k = call.k;
-    cols.clear();
-    cols.extend(k.f_rets.iter().map(|_| arena::take_f64(hi - lo)));
+    let Scratch {
+        wide,
+        one,
+        cols,
+        temps,
+        inner,
+        ..
+    } = s;
+    let cols = first_cols(cols, k.cols.len());
+    for (col, c) in cols.iter_mut().zip(&k.cols) {
+        col.row = None;
+        match c {
+            Col::F(_) if S::PUBLISH => col.data = arena::take_f64(hi - lo),
+            Col::F(_) => {
+                col.data.clear();
+                col.data.reserve(hi - lo);
+            }
+            // Sized by the first row.
+            Col::Row(_) if S::PUBLISH => col.data = Vec::new(),
+            Col::Row(_) => col.data.clear(),
+        }
+    }
     let mut i = lo;
-    if k.tape.c_ranks.is_empty() && hi - lo >= 4 {
+    if !k.tape.serial && hi - lo >= 4 {
         call.load(wide);
         while i + 4 <= hi {
             load_block4(&k.tape, wide, args, i);
             call.run(wide);
-            for (col, &r) in cols.iter_mut().zip(&k.f_rets) {
-                col.extend_from_slice(&wide.f[r as usize]);
+            for (col, c) in cols.iter_mut().zip(&k.cols) {
+                let Col::F(r) = *c else {
+                    unreachable!("a row result makes the tape serial")
+                };
+                col.data.extend_from_slice(&wide.f[r as usize]);
             }
             i += 4;
         }
     }
     if i < hi {
         call.load(one);
+        size_temps(temps, &k.tape);
+        let mut tables = call.tables;
         while i < hi {
-            load_one(&k.tape, one, args, i);
-            call.run(one);
-            for (col, &r) in cols.iter_mut().zip(&k.f_rets) {
-                col.push(one.f[r as usize][0]);
+            load_one(&k.tape, one, &mut tables, args, i);
+            call.run_one(&tables, one, temps, inner);
+            for (col, c) in cols.iter_mut().zip(&k.cols) {
+                match *c {
+                    Col::F(r) => col.data.push(one.f[r as usize][0]),
+                    Col::Row(a) => {
+                        let arrs = Views {
+                            ext: &tables,
+                            temps,
+                        };
+                        col.push_row(arrs.get(a).data, i, lo, hi, S::PUBLISH);
+                    }
+                }
             }
             i += 1;
         }
     }
 }
 
+/// `map` over operands from `src`, leaving the float and row columns in
+/// `s.cols`; returns the extent. `None` (nothing touched): an operand is
+/// outside the tape's shape class.
+fn map_into<'a, S: Operands<'a>>(
+    k: &'a TapeKernel,
+    cfg: &'a ExecConfig,
+    src: S,
+    args: &'a [S::Ref],
+    captures: &'a [S::Ref],
+    s: &mut Scratch,
+) -> Option<usize> {
+    let mut call = Call::bind(k, cfg, src, captures)?;
+    let mut streams = [Stream::Acc; MAX_STREAMS];
+    let n = call.bind_streams(args, &mut streams)?;
+    let streams = &streams[..args.len()];
+    if !should_parallelize(cfg, n) {
+        map_chunk(&call, streams, 0, n, s);
+        return Some(n);
+    }
+    let mut chunks = run_chunked(cfg, n, &|lo, hi| {
+        let mut c = Scratch::default();
+        map_chunk(&call, streams, lo, hi, &mut c);
+        (lo, c.cols)
+    });
+    if let [_] = chunks[..] {
+        s.cols = chunks.swap_remove(0).1;
+        return Some(n);
+    }
+    for (j, col) in first_cols(&mut s.cols, k.cols.len()).iter_mut().enumerate() {
+        col.row = chunks.first().and_then(|(_, c)| c[j].row);
+        col.data = arena::take_f64(n * col.row.unwrap_or(1));
+        for (lo, chunk) in &mut chunks {
+            let part = &mut chunk[j];
+            if let (Some(len), Some(first_len)) = (part.row, col.row) {
+                if len != first_len {
+                    irregular(*lo, len, 0, first_len);
+                }
+            }
+            col.data.append(&mut part.data);
+            arena::give_f64(std::mem::take(&mut part.data));
+        }
+    }
+    Some(n)
+}
+
 /// Write a `map`'s or `scan`'s results into the frame: float columns
-/// become rank-1 arrays, accumulator results pass their (shared) handle
-/// through from the argument or capture it came in on.
+/// become rank-1 arrays, row columns `[n, len]` arrays (`[0]` when there
+/// was no element to say `len`), accumulator results pass their (shared)
+/// handle through from the argument or capture it came in on.
 fn write_columns(
     k: &TapeKernel,
     regs: &mut [Value],
@@ -751,14 +1248,18 @@ fn write_columns(
     args: &[Reg],
     captures: &[Reg],
     n: usize,
-    cols: &mut Vec<Vec<f64>>,
+    cols: &mut [OutCol],
 ) {
-    let mut cols = cols.drain(..);
+    let mut cols = cols.iter_mut();
     for (d, acc) in dsts.iter().zip(&k.acc_rets) {
         regs[*d as usize] = match acc {
             None => {
-                let col = cols.next().expect("one column per float result");
-                Value::Arr(Array::from_f64(vec![n], col))
+                let col = cols.next().expect("one column per float or row result");
+                let shape = match col.row {
+                    Some(len) => vec![n, len],
+                    None => vec![n],
+                };
+                Value::Arr(Array::from_f64(shape, std::mem::take(&mut col.data)))
             }
             Some(slot) => {
                 let mut inputs = args.iter().chain(captures);
@@ -779,39 +1280,8 @@ pub(crate) fn map(
     captures: &[Reg],
     scratch: &mut Scratch,
 ) -> bool {
-    let n = {
-        let Some(mut call) = Call::bind(k, regs, captures) else {
-            return false;
-        };
-        let Some((n, streams)) = call.bind_streams(args) else {
-            return false;
-        };
-        let streams = &streams[..args.len()];
-        let Scratch {
-            wide, one, cols, ..
-        } = scratch;
-        if !should_parallelize(cfg, n) {
-            map_chunk(&call, streams, 0, n, wide, one, cols);
-        } else {
-            let mut chunks = run_chunked(cfg, n, &|lo, hi| {
-                let mut s = Scratch::default();
-                map_chunk(&call, streams, lo, hi, &mut s.wide, &mut s.one, &mut s.cols);
-                s.cols
-            });
-            if let [_] = chunks[..] {
-                *cols = chunks.swap_remove(0);
-            } else {
-                cols.clear();
-                cols.extend(k.f_rets.iter().map(|_| arena::take_f64(n)));
-                for chunk in chunks {
-                    for (col, mut part) in cols.iter_mut().zip(chunk) {
-                        col.append(&mut part);
-                        arena::give_f64(part);
-                    }
-                }
-            }
-        }
-        n
+    let Some(n) = map_into(k, cfg, &*regs, args, captures, scratch) else {
+        return false;
     };
     write_columns(k, regs, dsts, args, captures, n, &mut scratch.cols);
     true
@@ -825,10 +1295,20 @@ fn set_in1(tape: &Tape, files: &mut Files<1>, slot: usize, x: f64) {
     }
 }
 
-/// Fold one partial (or element tuple) into the accumulator via the reduce
-/// tape. `elems` are the values for the slots after the accumulator slots.
+/// Fold one partial (or element tuple) into the accumulator: natively for
+/// a single-operator fold, else via the reduce tape. `elems` are the values
+/// for the slots after the accumulator slots.
 #[inline]
-fn fold_step(call: &Call, files: &mut Files<1>, acc: &mut [f64], elems: &[f64]) {
+fn fold_step<'a, S: Operands<'a>>(
+    call: &Call<'a, S>,
+    files: &mut Files<1>,
+    acc: &mut [f64],
+    elems: &[f64],
+) {
+    if let (Some(native), [a], [x]) = (call.k.native, &mut *acc, elems) {
+        *a = native.step(*a, *x);
+        return;
+    }
     let tape = &call.k.tape;
     let width = acc.len();
     for (j, a) in acc.iter().enumerate() {
@@ -844,18 +1324,25 @@ fn fold_step(call: &Call, files: &mut Files<1>, acc: &mut [f64], elems: &[f64]) 
 }
 
 /// Start a fold: the accumulator at the neutral element, the operator's
-/// files loaded.
-fn fold_start(call: &Call, files: &mut Files<1>, ne: &[f64], acc: &mut Vec<f64>) {
+/// files loaded (a native fold has none to load).
+fn fold_start<'a, S: Operands<'a>>(
+    call: &Call<'a, S>,
+    files: &mut Files<1>,
+    ne: &[f64],
+    acc: &mut Vec<f64>,
+) {
     acc.clear();
     acc.extend_from_slice(ne);
-    call.load(files);
+    if call.k.native.is_none() {
+        call.load(files);
+    }
 }
 
-/// Combine per-chunk partials sequentially in chunk order into `s.acc` —
+/// Combine per-chunk partials sequentially in chunk order into `acc` —
 /// the exact mirror of the generic reduce/redomap partial combine
 /// (including the single-partial shortcut).
-fn combine_partials(
-    call: &Call,
+fn combine_partials<'a, S: Operands<'a>>(
+    call: &Call<'a, S>,
     files: &mut Files<1>,
     ne: &[f64],
     mut partials: Vec<Vec<f64>>,
@@ -872,10 +1359,22 @@ fn combine_partials(
 }
 
 /// Fold elements `lo..hi` of `arrs` from the neutral element into `s.acc`.
-fn reduce_chunk(call: &Call, ne: &[f64], arrs: &[&[f64]], lo: usize, hi: usize, s: &mut Scratch) {
+fn reduce_chunk<'a, S: Operands<'a>>(
+    call: &Call<'a, S>,
+    ne: &[f64],
+    arrs: &[&[f64]],
+    lo: usize,
+    hi: usize,
+    s: &mut Scratch,
+) {
     let Scratch {
         one, acc, elems, ..
     } = s;
+    if let (Some(native), [ne], [arr]) = (call.k.native, ne, arrs) {
+        acc.clear();
+        acc.push(native.fold(*ne, &arr[lo..hi]));
+        return;
+    }
     fold_start(call, one, ne, acc);
     elems.clear();
     elems.resize(arrs.len(), 0.0);
@@ -887,7 +1386,34 @@ fn reduce_chunk(call: &Call, ne: &[f64], arrs: &[&[f64]], lo: usize, hi: usize, 
     }
 }
 
-/// `reduce`: per-chunk sequential folds, then the sequential combine.
+/// `reduce` over operands from `src` into `s.acc`: per-chunk sequential
+/// folds, then the sequential combine.
+fn reduce_into<'a, S: Operands<'a>>(
+    k: &'a TapeKernel,
+    cfg: &'a ExecConfig,
+    src: S,
+    ne: &[f64],
+    args: &'a [S::Ref],
+    captures: &'a [S::Ref],
+    s: &mut Scratch,
+) -> Option<()> {
+    let call = Call::bind(k, cfg, src, captures)?;
+    let (n, arrs) = call.f64_streams(args)?;
+    let arrs = &arrs[..args.len()];
+    if !should_parallelize(cfg, n) {
+        reduce_chunk(&call, ne, arrs, 0, n, s);
+    } else {
+        let partials = run_chunked(cfg, n, &|lo, hi| {
+            let mut c = Scratch::default();
+            reduce_chunk(&call, ne, arrs, lo, hi, &mut c);
+            c.acc
+        });
+        combine_partials(&call, &mut s.one, ne, partials, &mut s.acc);
+    }
+    Some(())
+}
+
+/// `reduce`. `false` (frame untouched): run the generic path.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce(
     k: &TapeKernel,
@@ -899,28 +1425,12 @@ pub(crate) fn reduce(
     captures: &[Reg],
     scratch: &mut Scratch,
 ) -> bool {
-    {
-        let Some(call) = Call::bind(k, regs, captures) else {
-            return false;
-        };
-        let Some(ne) = neutral_f64(regs, neutral) else {
-            return false;
-        };
-        let ne = &ne[..neutral.len()];
-        let Some((n, arrs)) = f64_arrays(regs, args) else {
-            return false;
-        };
-        let arrs = &arrs[..args.len()];
-        if !should_parallelize(cfg, n) {
-            reduce_chunk(&call, ne, arrs, 0, n, scratch);
-        } else {
-            let partials = run_chunked(cfg, n, &|lo, hi| {
-                let mut s = Scratch::default();
-                reduce_chunk(&call, ne, arrs, lo, hi, &mut s);
-                s.acc
-            });
-            combine_partials(&call, &mut scratch.one, ne, partials, &mut scratch.acc);
-        }
+    let Some(ne) = neutral_f64(regs, neutral) else {
+        return false;
+    };
+    let ne = &ne[..neutral.len()];
+    if reduce_into(k, cfg, &*regs, ne, args, captures, scratch).is_none() {
+        return false;
     }
     for (d, x) in dsts.iter().zip(&scratch.acc) {
         regs[*d as usize] = Value::F64(*x);
@@ -929,13 +1439,14 @@ pub(crate) fn reduce(
 }
 
 /// Elements `lo..hi` of a fused `reduce ∘ map` into `s.acc`: 4-lane map
-/// blocks feeding a strictly sequential in-order fold, so the accumulation
-/// order is element order exactly as in the generic redomap.
-fn redomap_chunk(
-    red: &Call,
-    map: &Call,
+/// blocks (lane width 1 for a serial map tape — a nest) feeding a strictly
+/// sequential in-order fold, so the accumulation order is element order
+/// exactly as in the generic redomap.
+fn redomap_chunk<'a, S: Operands<'a>>(
+    red: &Call<'a, S>,
+    map: &Call<'a, S>,
     ne: &[f64],
-    args: &[Stream],
+    args: &[Stream<'a>],
     lo: usize,
     hi: usize,
     s: &mut Scratch,
@@ -946,34 +1457,46 @@ fn redomap_chunk(
         red: rfiles,
         acc,
         elems,
+        temps,
+        inner,
         ..
     } = s;
     let mk = map.k;
+    let f_col = |c: &Col| match *c {
+        Col::F(r) => r as usize,
+        Col::Row(_) => unreachable!("the map side of a redomap returns floats"),
+    };
     fold_start(red, rfiles, ne, acc);
     elems.clear();
-    elems.resize(mk.f_rets.len(), 0.0);
+    elems.resize(mk.cols.len(), 0.0);
     let mut i = lo;
-    if hi - lo >= 4 {
+    if !mk.tape.serial && hi - lo >= 4 {
         map.load(wide);
         while i + 4 <= hi {
             load_block4(&mk.tape, wide, args, i);
             map.run(wide);
-            for l in 0..4 {
-                for (x, &r) in elems.iter_mut().zip(&mk.f_rets) {
-                    *x = wide.f[r as usize][l];
+            if let (Some(native), [c], [a]) = (red.k.native, &mk.cols[..], &mut acc[..]) {
+                *a = native.fold(*a, &wide.f[f_col(c)]);
+            } else {
+                for l in 0..4 {
+                    for (x, c) in elems.iter_mut().zip(&mk.cols) {
+                        *x = wide.f[f_col(c)][l];
+                    }
+                    fold_step(red, rfiles, acc, elems);
                 }
-                fold_step(red, rfiles, acc, elems);
             }
             i += 4;
         }
     }
     if i < hi {
         map.load(one);
+        size_temps(temps, &mk.tape);
+        let mut tables = map.tables;
         while i < hi {
-            load_one(&mk.tape, one, args, i);
-            map.run(one);
-            for (x, &r) in elems.iter_mut().zip(&mk.f_rets) {
-                *x = one.f[r as usize][0];
+            load_one(&mk.tape, one, &mut tables, args, i);
+            map.run_one(&tables, one, temps, inner);
+            for (x, c) in elems.iter_mut().zip(&mk.cols) {
+                *x = one.f[f_col(c)][0];
             }
             fold_step(red, rfiles, acc, elems);
             i += 1;
@@ -981,7 +1504,39 @@ fn redomap_chunk(
     }
 }
 
-/// Fused `reduce ∘ map`, chunked and combined like [`reduce`].
+/// Fused `reduce ∘ map` over operands from `src` into `s.acc`, chunked and
+/// combined like [`reduce_into`].
+#[allow(clippy::too_many_arguments)]
+fn redomap_into<'a, S: Operands<'a>>(
+    rk: &'a TapeKernel,
+    mk: &'a TapeKernel,
+    cfg: &'a ExecConfig,
+    src: S,
+    ne: &[f64],
+    args: &'a [S::Ref],
+    red_captures: &'a [S::Ref],
+    map_captures: &'a [S::Ref],
+    s: &mut Scratch,
+) -> Option<()> {
+    let red = Call::bind(rk, cfg, src, red_captures)?;
+    let mut map = Call::bind(mk, cfg, src, map_captures)?;
+    let mut streams = [Stream::Acc; MAX_STREAMS];
+    let n = map.bind_streams(args, &mut streams)?;
+    let streams = &streams[..args.len()];
+    if !should_parallelize(cfg, n) {
+        redomap_chunk(&red, &map, ne, streams, 0, n, s);
+    } else {
+        let partials = run_chunked(cfg, n, &|lo, hi| {
+            let mut c = Scratch::default();
+            redomap_chunk(&red, &map, ne, streams, lo, hi, &mut c);
+            c.acc
+        });
+        combine_partials(&red, &mut s.red, ne, partials, &mut s.acc);
+    }
+    Some(())
+}
+
+/// `redomap`. `false` (frame untouched): run the generic path.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn redomap(
     rk: &TapeKernel,
@@ -995,31 +1550,25 @@ pub(crate) fn redomap(
     map_captures: &[Reg],
     scratch: &mut Scratch,
 ) -> bool {
+    let Some(ne) = neutral_f64(regs, neutral) else {
+        return false;
+    };
+    let ne = &ne[..neutral.len()];
+    let frame = &*regs;
+    if redomap_into(
+        rk,
+        mk,
+        cfg,
+        frame,
+        ne,
+        args,
+        red_captures,
+        map_captures,
+        scratch,
+    )
+    .is_none()
     {
-        let Some(red) = Call::bind(rk, regs, red_captures) else {
-            return false;
-        };
-        let Some(mut map) = Call::bind(mk, regs, map_captures) else {
-            return false;
-        };
-        let Some(ne) = neutral_f64(regs, neutral) else {
-            return false;
-        };
-        let ne = &ne[..neutral.len()];
-        let Some((n, streams)) = map.bind_streams(args) else {
-            return false;
-        };
-        let streams = &streams[..args.len()];
-        if !should_parallelize(cfg, n) {
-            redomap_chunk(&red, &map, ne, streams, 0, n, scratch);
-        } else {
-            let partials = run_chunked(cfg, n, &|lo, hi| {
-                let mut s = Scratch::default();
-                redomap_chunk(&red, &map, ne, streams, lo, hi, &mut s);
-                s.acc
-            });
-            combine_partials(&red, &mut scratch.red, ne, partials, &mut scratch.acc);
-        }
+        return false;
     }
     for (d, x) in dsts.iter().zip(&scratch.acc) {
         regs[*d as usize] = Value::F64(*x);
@@ -1028,8 +1577,10 @@ pub(crate) fn redomap(
 }
 
 /// Inclusive `scan`: strictly sequential, like the generic one.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn scan(
     k: &TapeKernel,
+    cfg: &ExecConfig,
     regs: &mut [Value],
     dsts: &[Reg],
     neutral: &[Opnd],
@@ -1038,13 +1589,13 @@ pub(crate) fn scan(
     scratch: &mut Scratch,
 ) -> bool {
     let n = {
-        let Some(call) = Call::bind(k, regs, captures) else {
+        let Some(call) = Call::bind(k, cfg, &*regs, captures) else {
             return false;
         };
         let Some(ne) = neutral_f64(regs, neutral) else {
             return false;
         };
-        let Some((n, arrs)) = f64_arrays(regs, args) else {
+        let Some((n, arrs)) = call.f64_streams(args) else {
             return false;
         };
         let arrs = &arrs[..args.len()];
@@ -1058,15 +1609,20 @@ pub(crate) fn scan(
         fold_start(&call, one, &ne[..neutral.len()], acc);
         elems.clear();
         elems.resize(arrs.len(), 0.0);
-        cols.clear();
-        cols.extend(acc.iter().map(|_| arena::take_f64(n)));
+        let cols = first_cols(cols, acc.len());
+        for col in cols.iter_mut() {
+            *col = OutCol {
+                data: arena::take_f64(n),
+                row: None,
+            };
+        }
         for i in 0..n {
             for (x, arr) in elems.iter_mut().zip(arrs) {
                 *x = arr[i];
             }
             fold_step(&call, one, acc, elems);
             for (col, a) in cols.iter_mut().zip(acc.iter()) {
-                col.push(*a);
+                col.data.push(*a);
             }
         }
         n

@@ -14,13 +14,19 @@
 //!   SOAC invocation instead of re-resolved per element.
 //! * `tape` then lowers every kernel whose body fits — and every
 //!   straight-line scalar run of the main body — to a **monomorphic tape**
-//!   over flat `f64`/`bool`/`i64` register files, from the first call: no
-//!   hotness counting, no second tier. A kernel outside the fragment keeps
-//!   a [`Fallback`] reason ([`Program::tape_report`]) and runs as generic
+//!   over flat `f64`/`bool`/`i64` register files and `f64` array views,
+//!   from the first call: no hotness counting, no second tier. A body may
+//!   contain inner `map`/`reduce`/`redomap`s over kernels that are tapes
+//!   themselves, read the rows of a matrix argument and return rows, so a
+//!   `map` nest over regular arrays is one kernel over flat row-major
+//!   data. A kernel outside the fragment (`if`/`loop`, `scan`/`hist`/
+//!   `withacc` in the body, `i64` results, `iota`/`update`) keeps a
+//!   [`Fallback`] reason ([`Program::tape_report`]) and runs as generic
 //!   bytecode — the one fallback.
 //! * [`vm`] executes programs: tapes on the 4-lane executor in `exec`
-//!   (arguments borrowed from the frame, nothing allocated but outputs),
-//!   everything else instruction by instruction, both scheduling parallel
+//!   (arguments borrowed from the frame, nothing allocated but outputs,
+//!   single-operator folds as native loops), everything else instruction
+//!   by instruction, both scheduling parallel
 //!   SOAC chunks on the persistent [`WorkerPool`](interp::WorkerPool)
 //!   shared with the interpreter — no thread spawn per SOAC — and both
 //!   bitwise equal (same chunking, same fold and combine order).
@@ -899,14 +905,24 @@ mod tests {
                     let as_arg = b.map1(acc_ty, &[inds, vals, accs[0]], |b, es| {
                         vec![b.upd_acc(es[2], &[es[0].into()], es[1].into()).into()]
                     });
-                    // As a capture, through an inner map: generic (nested).
+                    // As a capture, through an inner map: a nest, one tape.
                     let nested = b.map1(acc_ty, &[inds], |b, outer| {
                         let inner = b.map1(acc_ty, &[vals], |b, es| {
                             vec![b.upd_acc(as_arg, &[outer[0].into()], es[0].into()).into()]
                         });
                         vec![inner.into()]
                     });
-                    vec![nested.into()]
+                    // The same with an `iota` in the body: generic.
+                    let generic = b.map1(acc_ty, &[inds], |b, outer| {
+                        let one = b.iota(Atom::i64(1));
+                        let i = b.index(one, &[Atom::i64(0)]);
+                        let at = b.iadd(outer[0].into(), i.into());
+                        let inner = b.map1(acc_ty, &[vals], |b, es| {
+                            vec![b.upd_acc(nested, &[at], es[0].into()).into()]
+                        });
+                        vec![inner.into()]
+                    });
+                    vec![generic.into()]
                 });
                 vec![Atom::Var(out[0])]
             },
@@ -919,7 +935,7 @@ mod tests {
         let want = Interp::sequential().run(&f, &empty);
         assert_eq!(want[0].as_arr().f64s(), &[1.0, 2.0, 3.0]);
         let counts = assert_tape_parity(&f, &empty);
-        assert_eq!((counts.tapes, counts.generic), (1, 1));
+        assert_eq!((counts.tapes, counts.generic), (2, 1));
         assert_bitwise_eq(&want, &Vm::sequential().run(&f, &empty));
         // And the same program over real elements.
         let full = [
@@ -929,6 +945,303 @@ mod tests {
         ];
         assert_tape_parity(&f, &full);
         assert_agree(&f, &full);
+    }
+
+    // -----------------------------------------------------------------
+    // Nests: inner SOACs, rows and temporaries inside one tape.
+    // -----------------------------------------------------------------
+
+    fn matrix(n: usize, m: usize) -> Value {
+        Value::Arr(Array::from_f64(vec![n, m], data(n * m)))
+    }
+
+    fn all_tapes(fun: &Fun) -> Program {
+        let prog = compile(fun);
+        let report = prog.tape_report();
+        assert!(
+            report.iter().all(|k| *k == KernelForm::Tape),
+            "{}: {report:?}",
+            fun.name
+        );
+        prog
+    }
+
+    #[test]
+    fn map_of_redomap_over_matrix_rows_is_one_tape_dispatch() {
+        // `map (\\row -> redomap (+) (\\x -> x * x + c) row) xss`: the rows are
+        // views of the matrix, the inner redomap runs in the tape.
+        let mut b = Builder::new();
+        let f = b.build_fun("rowsq", &[Type::arr_f64(2), Type::F64], |b, ps| {
+            let sums = b.map1(Type::arr_f64(1), &[ps[0]], |b, rows| {
+                let s = b.redomap(
+                    &[Type::F64],
+                    &[Atom::f64(0.0)],
+                    &[rows[0]],
+                    |b, es| {
+                        let sq = b.fmul(es[0].into(), es[0].into());
+                        vec![b.fadd(sq, ps[1].into())]
+                    },
+                    |b, es| vec![b.fadd(es[0].into(), es[1].into())],
+                );
+                vec![s[0].into()]
+            });
+            vec![Atom::Var(sums)]
+        });
+        all_tapes(&f);
+        // Inner lengths around the 4-lane block edge (and 33, 40: past the
+        // forced-parallel threshold, so the inner fold is chunked inside
+        // the tape), outer lengths around nothing.
+        for n in [0usize, 1, 7] {
+            for m in [0usize, 1, 3, 4, 5, 33, 40] {
+                let counts = assert_tape_parity(&f, &[matrix(n, m), Value::F64(0.25)]);
+                assert_eq!((counts.tapes, counts.generic), (1, 0), "[{n}, {m}]");
+            }
+        }
+    }
+
+    /// GMM's primal in small: three maps deep, the row of the outer map
+    /// captured by the middle one and streamed by the innermost.
+    fn small_gmm() -> Fun {
+        let mut b = Builder::new();
+        b.build_fun(
+            "small_gmm",
+            &[Type::arr_f64(2), Type::arr_f64(1), Type::arr_f64(2)],
+            |b, ps| {
+                let (xs, alphas, means) = (ps[0], ps[1], ps[2]);
+                let lls = b.map1(Type::arr_f64(1), &[xs], |b, x| {
+                    let comps = b.map1(Type::arr_f64(1), &[alphas, means], |b, es| {
+                        let quad = b.redomap(
+                            &[Type::F64],
+                            &[Atom::f64(0.0)],
+                            &[x[0], es[1]],
+                            |b, ts| {
+                                let d = b.fsub(ts[0].into(), ts[1].into());
+                                vec![b.fmul(d, d)]
+                            },
+                            |b, ts| vec![b.fadd(ts[0].into(), ts[1].into())],
+                        );
+                        let half = b.fmul(Atom::f64(0.5), quad[0].into());
+                        vec![b.fsub(es[0].into(), half)]
+                    });
+                    let mx = b.maximum(comps);
+                    let shifted = b.map1(Type::arr_f64(1), &[comps], |b, cs| {
+                        let d = b.fsub(cs[0].into(), mx.into());
+                        vec![b.fexp(d)]
+                    });
+                    let s = b.sum(shifted);
+                    let l = b.flog(s.into());
+                    vec![b.fadd(mx.into(), l)]
+                });
+                vec![b.sum(lls).into()]
+            },
+        )
+    }
+
+    #[test]
+    fn three_deep_nests_run_inside_one_tape() {
+        let f = fir_opt::fuse_soacs(&small_gmm());
+        all_tapes(&f);
+        for (n, d, k) in [(0usize, 3usize, 2usize), (1, 1, 1), (5, 4, 3), (9, 33, 10)] {
+            let args = [
+                matrix(n, d),
+                Value::from(data(k)),
+                Value::Arr(Array::from_f64(
+                    vec![k, d],
+                    data(k * d).iter().map(|x| x * 0.5).collect(),
+                )),
+            ];
+            let counts = assert_tape_parity(&f, &args);
+            // The whole objective is one redomap from the main body.
+            assert_eq!((counts.tapes, counts.generic), (1, 0), "{n} {d} {k}");
+        }
+    }
+
+    #[test]
+    fn inner_map_columns_feed_a_reduce_and_a_row_result() {
+        // Two columns of one inner map: one is consumed by a reduce in the
+        // body (a temporary), the other is the row the kernel returns.
+        let mut b = Builder::new();
+        let f = b.build_fun("cols", &[Type::arr_f64(2), Type::F64], |b, ps| {
+            let outs = b.map(
+                &[Type::arr_f64(1), Type::arr_f64(2)],
+                &[ps[0]],
+                |b, rows| {
+                    let cols = b.map(
+                        &[Type::arr_f64(1), Type::arr_f64(1)],
+                        &[rows[0]],
+                        |b, es| {
+                            let t = b.ftanh(es[0].into());
+                            let u = b.fmul(es[0].into(), ps[1].into());
+                            vec![t, u]
+                        },
+                    );
+                    let s = b.sum(cols[0]);
+                    vec![s.into(), cols[1].into()]
+                },
+            );
+            vec![outs[0].into(), outs[1].into()]
+        });
+        all_tapes(&f);
+        for (n, m) in [(0usize, 3usize), (1, 1), (3, 4), (7, 5), (2, 33)] {
+            let args = [matrix(n, m), Value::F64(-1.5)];
+            let counts = assert_tape_parity(&f, &args);
+            assert_eq!((counts.tapes, counts.generic), (1, 0), "[{n}, {m}]");
+            // `[n, m]`, or the repo's `[0]` when there is no row.
+            let out = vm::run_program(&compile(&f), &ExecConfig::sequential(), &args);
+            let want = if n == 0 { vec![0] } else { vec![n, m] };
+            assert_eq!(out[1].as_arr().shape, want);
+        }
+    }
+
+    #[test]
+    fn replicate_and_whole_row_accumulator_updates_run_in_a_tape() {
+        // The reverse of a map whose lambda has a row free in it (GMM's
+        // `x` under the map over components): the row's adjoint is an
+        // accumulator updated a whole row at a time, fed by a `replicate`d
+        // seed through an inner map.
+        use crate::tape::Op;
+        use futhark_ad::vjp;
+        let mut b = Builder::new();
+        let f = b.build_fun("dist", &[Type::arr_f64(2), Type::arr_f64(2)], |b, ps| {
+            let per_x = b.map1(Type::arr_f64(1), &[ps[0]], |b, x| {
+                let per_mu = b.map1(Type::arr_f64(1), &[ps[1]], |b, mu| {
+                    let sq = b.map1(Type::arr_f64(1), &[x[0], mu[0]], |b, es| {
+                        let d = b.fsub(es[0].into(), es[1].into());
+                        vec![b.fmul(d, d)]
+                    });
+                    // `sum mu`: its adjoint is a `replicate`d seed, added to
+                    // the row's other contribution by an inner map.
+                    let (quad, lin) = (b.sum(sq), b.sum(mu[0]));
+                    vec![b.fsub(quad.into(), lin.into())]
+                });
+                vec![b.sum(per_mu).into()]
+            });
+            vec![b.sum(per_x).into()]
+        });
+        // Copy propagation first: a move of an array value is outside the
+        // fragment, and `vjp` emits them freely.
+        let df = fir_opt::copy_propagation(&vjp(&f));
+        let df = fir_opt::dead_code_elimination(&fir_opt::cse(&fir_opt::fuse_soacs(&df)));
+        let prog = compile(&df);
+        let has = |pred: &dyn Fn(&Op) -> bool| {
+            let tapes = prog.lowered.kernels.iter().flatten();
+            tapes.flat_map(|k| &k.tape.ops).any(pred)
+        };
+        assert!(has(&|op| matches!(op, Op::UpdAccRow(..))), "{df:?}");
+        assert!(has(&|op| matches!(op, Op::Replicate(..))));
+        assert!(has(&|op| matches!(op, Op::Inner(_))));
+        for (n, d, k) in [(1usize, 1usize, 1usize), (3, 4, 2), (5, 33, 3)] {
+            let means = Value::Arr(Array::from_f64(
+                vec![k, d],
+                data(k * d).iter().map(|x| 1.0 - x).collect(),
+            ));
+            let counts = assert_tape_parity(&df, &[matrix(n, d), means, Value::F64(1.0)]);
+            assert!(counts.tapes >= 1);
+        }
+    }
+
+    /// `map (\\row -> reduce op ne row) xss` with an arbitrary operator.
+    fn row_folds(name: &str, ne: f64, op: impl Fn(&mut Builder, Atom, Atom) -> Atom + Copy) -> Fun {
+        let mut b = Builder::new();
+        b.build_fun(name, &[Type::arr_f64(2)], |b, ps| {
+            let folded = b.map1(Type::arr_f64(1), &[ps[0]], |b, rows| {
+                let r = b.reduce(&[Type::F64], &[Atom::f64(ne)], &[rows[0]], |b, es| {
+                    vec![op(b, es[0].into(), es[1].into())]
+                });
+                vec![r[0].into()]
+            });
+            vec![Atom::Var(folded)]
+        })
+    }
+
+    #[test]
+    fn inner_folds_are_chunked_and_combined_inside_the_tape() {
+        // Inner length 40 under a threshold of 8: four chunks of ten, each
+        // folded from the neutral element, combined in order. `-` is not
+        // associative, so a different chunking would show in the bits.
+        let f = row_folds("rowsub", 0.0, |b, a, x| b.fsub(a, x));
+        let prog = all_tapes(&f);
+        let args = [matrix(3, 40)];
+        let counts = assert_tape_parity(&f, &args);
+        assert_eq!((counts.tapes, counts.generic), (1, 0));
+        let par = ExecConfig {
+            parallel: true,
+            num_threads: 4,
+            parallel_threshold: 8,
+        };
+        let chunked = vm::run_program(&prog, &par, &args);
+        let whole = vm::run_program(&prog, &ExecConfig::sequential(), &args);
+        assert_ne!(
+            chunked[0].as_arr().f64s(),
+            whole[0].as_arr().f64s(),
+            "the inner fold was not chunked"
+        );
+    }
+
+    #[test]
+    fn native_and_interpreted_folds_keep_the_operand_order() {
+        let with_nan = |n: usize, m: usize| {
+            let mut xs = data(n * m);
+            for i in (2..xs.len()).step_by(5) {
+                xs[i] = f64::NAN;
+            }
+            Value::Arr(Array::from_f64(vec![n, m], xs))
+        };
+        type Op = fn(&mut Builder, Atom, Atom) -> Atom;
+        let native: [(&str, f64, Op); 5] = [
+            ("sub", 0.0, |b, a, x| b.fsub(a, x)),
+            ("bus", 0.0, |b, a, x| b.fsub(x, a)),
+            ("min", f64::INFINITY, |b, a, x| b.fmin(a, x)),
+            ("max", f64::NEG_INFINITY, |b, a, x| b.fmax(a, x)),
+            ("xam", f64::NEG_INFINITY, |b, a, x| b.fmax(x, a)),
+        ];
+        for (name, ne, op) in native {
+            let f = row_folds(name, ne, op);
+            let prog = all_tapes(&f);
+            let fold = prog.lowered.kernels[0].as_ref().unwrap();
+            assert!(fold.native.is_some(), "{name} folds natively");
+            for (n, m) in [(2usize, 1usize), (3, 7), (2, 40)] {
+                assert_tape_parity(&f, &[with_nan(n, m)]);
+                assert_tape_parity(&f, &[matrix(n, m)]);
+            }
+        }
+        // Two ops: no native loop, one tape run per element.
+        let f = row_folds("halfsum", 0.0, |b, a, x| {
+            let s = b.fadd(a, x);
+            b.fmul(s, Atom::f64(0.5))
+        });
+        let prog = all_tapes(&f);
+        assert!(prog.lowered.kernels[0].as_ref().unwrap().native.is_none());
+        for (n, m) in [(2usize, 1usize), (3, 7), (2, 40)] {
+            let counts = assert_tape_parity(&f, &[with_nan(n, m)]);
+            assert_eq!((counts.tapes, counts.generic), (1, 0));
+        }
+        // The same operators from the main body (no nest).
+        let mut b = Builder::new();
+        let flat = b.build_fun("flat", &[Type::arr_f64(1)], |b, ps| {
+            let sub = b.reduce(&[Type::F64], &[Atom::f64(0.0)], &[ps[0]], |b, es| {
+                vec![b.fsub(es[1].into(), es[0].into())]
+            });
+            let half = b.reduce(&[Type::F64], &[Atom::f64(0.0)], &[ps[0]], |b, es| {
+                let s = b.fadd(es[0].into(), es[1].into());
+                vec![b.fmul(s, Atom::f64(0.5))]
+            });
+            let run = b.scan(
+                &[Type::arr_f64(1)],
+                &[Atom::f64(f64::INFINITY)],
+                &[ps[0]],
+                |b, es| vec![b.fmin(es[0].into(), es[1].into())],
+            );
+            vec![sub[0].into(), half[0].into(), run[0].into()]
+        });
+        for n in [0usize, 1, 9, 100] {
+            let mut xs = data(n);
+            if n > 3 {
+                xs[3] = f64::NAN;
+            }
+            let counts = assert_tape_parity(&flat, &[Value::from(xs)]);
+            assert_eq!((counts.tapes, counts.generic), (3, 0), "n = {n}");
+        }
     }
 
     #[test]

@@ -1,26 +1,41 @@
-//! Lowering kernel bytecode to monomorphic scalar tapes.
+//! Lowering kernel bytecode to monomorphic tapes.
 //!
 //! A [`Tape`] is the VM's kernel form: a flat sequence of register ops
-//! over three monomorphic register files (`f64`, `bool` and `i64`) plus
-//! tables of borrowed `f64` input arrays and shared accumulator handles —
-//! no `Value` boxing, no enum-typed registers, no `Drop` glue on writes.
-//! [`lower_program`] runs once per [`Program`](crate::Program), from
-//! `compile` and from `Program::assemble`, and decides for every kernel
-//! whether it runs as a tape or on the generic bytecode path — with a
-//! [`Fallback`] reason recorded for the latter. Lowering is a single
+//! over three monomorphic scalar register files (`f64`, `bool` and `i64`)
+//! plus a table of `f64` array *views* and a table of shared accumulator
+//! handles — no `Value` boxing, no enum-typed registers, no `Drop` glue on
+//! writes. [`lower_program`] runs once per [`Program`](crate::Program),
+//! from `compile` and from `Program::assemble`, and decides for every
+//! kernel whether it runs as a tape or on the generic bytecode path — with
+//! a [`Fallback`] reason recorded for the latter. Lowering is a single
 //! forward pass over straight-line bytecode that infers each register's
-//! class from how it is used; anything outside the supported fragment
-//! (jumps, array *construction*, nested SOACs, indexing past rank 2)
-//! rejects the kernel, per kernel, not all-or-nothing. Arrays enter a tape
-//! only as inputs (parameters or captures) and are read through gathers
-//! ([`Op::IndexF`], [`Op::Index2F`]) and [`Op::LenA`]; this covers the
-//! `a[i]` access pattern AD transposition produces in abundance.
+//! class from how it is used, per kernel, not all-or-nothing.
+//!
+//! An array slot ([`Cls::A`]) is a view `(data, d0, d1)` of one of three
+//! things: a captured `f64` array (a gather table), **a row** of a rank-2
+//! `f64` element stream (re-pointed per element, never copied), or a
+//! **tape-local rank-1 temporary** (an output column of an inner `map`,
+//! `replicate n x` of a scalar). A body may contain inner `map`, `reduce`
+//! and `redomap` instructions whose own kernels have tapes: they become
+//! [`Op::Inner`] and run inside the tape, over array slots, through the
+//! same chunk functions as a dispatch from the main body — so a perfect
+//! `map` nest over regular arrays is **one** kernel over flat row-major
+//! data. A result may be a rank-1 `f64` row, written into one flat buffer.
+//! A reduce/scan operator that is a single float binary op over its two
+//! parameters is recognised here ([`TapeKernel::native`]) and folded by a
+//! native loop.
+//!
+//! Still outside the fragment: jumps (`if`/`loop`), `scan`/`hist`/
+//! `scatter`/`withacc` in a body, `iota`/`update`/`reverse`/array moves,
+//! `i64`/`bool` result columns and fold state, rows of rank ≥ 2, indexing
+//! past rank 2.
 //!
 //! Every op reproduces `interp::eval`'s `f64`/`bool`/`i64` semantics
 //! exactly (same intrinsics, same operand order), so a tape run is bitwise
 //! identical to interpreting the same instructions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fir::ir::{BinOp, UnOp};
 use fir::types::{ScalarType, Type};
@@ -29,18 +44,25 @@ use crate::bytecode::{CodeObject, Instr, Opnd, Reg};
 use crate::kernel::Kernel;
 use crate::region::{lower_regions, Region};
 
-/// Class of a tape register: the three scalar files plus borrowed arrays
-/// and shared accumulator handles.
+/// Class of a tape register: the three scalar files plus array views and
+/// shared accumulator handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Cls {
     F,
     B,
     I,
-    /// A borrowed `f64` input array (gather table).
+    /// A view of `f64` data: a captured array, a row of a rank-2 element
+    /// stream, or a tape-local rank-1 temporary (slot numbers with
+    /// [`LOCAL`] set).
     A,
     /// A shared accumulator handle (scatter-add target).
     C,
 }
+
+/// Set in the slot number of a tape-local array temporary; the rest of the
+/// number indexes the executor's temporaries. Slots without it index the
+/// views a dispatch binds.
+pub(crate) const LOCAL: u16 = 0x8000;
 
 /// Float unary intrinsics, mirroring `eval_unop` on `Value::F64`.
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +80,7 @@ pub(crate) enum FUn {
 }
 
 /// Float binary ops, mirroring `eval_binop` on `(Value::F64, Value::F64)`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FBin {
     Add,
     Sub,
@@ -174,6 +196,59 @@ pub(crate) enum Op {
     /// `accs[0][i[1]][i[2]] += f[3]` — scatter-add into a rank-2
     /// accumulator (row-major, like `Accum::offset_of`).
     UpdAcc2(u16, u16, u16, u16),
+    /// Run inner SOAC number `0` of the body ([`Tape::inner`]): its element
+    /// streams are array slots of this tape, its captures and neutral
+    /// elements this tape's registers, its results land in this tape's
+    /// `f64` registers (folds), fresh array slots (map columns) or alias
+    /// an accumulator slot. Like the three ops below it only occurs in
+    /// [`Tape::serial`] tapes, which run at lane width 1.
+    Inner(u16),
+    /// `arrays[0] <- replicate i[1] f[2]` — a tape-local rank-1 temporary.
+    Replicate(u16, u16, u16),
+    /// `accs[0] += arrays[1]` — a whole-row add into a rank-1 accumulator
+    /// (`Accum::add_slice` from offset 0).
+    UpdAccRow(u16, u16),
+    /// `accs[0][i[1]] += arrays[2]` — a whole-row add into row `i[1]` of a
+    /// rank-2 accumulator.
+    UpdAccRow1(u16, u16, u16),
+}
+
+/// A register of the enclosing tape an inner SOAC reads an operand from;
+/// `None` for an operand the inner kernel never reads.
+pub(crate) type Slot = Option<(Cls, u16)>;
+
+/// One inner SOAC of a tape body: the kernels it dispatches (tapes
+/// themselves) and where its operands and results live in the enclosing
+/// tape. Element streams are array slots (accumulator arguments:
+/// accumulator slots), neutral elements `f64` registers (immediates are
+/// preloaded constants).
+#[derive(Debug, Clone)]
+pub(crate) enum InnerOp {
+    Map {
+        k: Arc<TapeKernel>,
+        args: Vec<Slot>,
+        captures: Vec<Slot>,
+        /// The array slot each float result column becomes (accumulator
+        /// results alias the slot they came in on at lowering time).
+        dsts: Vec<u16>,
+    },
+    Reduce {
+        k: Arc<TapeKernel>,
+        neutral: Vec<u16>,
+        args: Vec<Slot>,
+        captures: Vec<Slot>,
+        /// The `f64` register of each result.
+        dsts: Vec<u16>,
+    },
+    Redomap {
+        rk: Arc<TapeKernel>,
+        mk: Arc<TapeKernel>,
+        neutral: Vec<u16>,
+        args: Vec<Slot>,
+        red_captures: Vec<Slot>,
+        map_captures: Vec<Slot>,
+        dsts: Vec<u16>,
+    },
 }
 
 /// Why a kernel runs on the generic bytecode path instead of as a tape.
@@ -182,31 +257,40 @@ pub(crate) enum Op {
 /// named after what the lowering rejects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fallback {
-    /// A result that is neither an `f64` scalar nor an `f64` accumulator
-    /// (array rows, `i64`/`bool` columns).
+    /// A result that is not an `f64` scalar, a rank-1 `f64` row or an
+    /// `f64` accumulator: `i64`/`bool` columns, rows of rank ≥ 2 (the row
+    /// result of an inner `map` included), rows of other element types.
     ResultType,
     /// `if`/`loop` in the body (jumps and their `Take` result moves).
     ControlFlow,
-    /// A SOAC, `hist`, `scatter` or `withacc` in the body.
+    /// A `scan`, `hist`, `scatter` or `withacc` in the body.
     NestedSoac,
-    /// Array construction in the body: `iota`, `replicate`, `reverse`,
-    /// `update`, or a move of an array value.
+    /// An inner `map`, `reduce` or `redomap` whose own kernel has no tape
+    /// (its report entry says why).
+    InnerKernel,
+    /// Array construction in the body: `iota`, `reverse`, `update`,
+    /// `replicate` of anything but an `f64` scalar, or a move of an array
+    /// value.
     ArrayConstruction,
     /// An index with more than two indices.
     IndexRank,
-    /// An `upd_acc` with more than two indices.
+    /// An `upd_acc` of a scalar with more than two indices, or of a row
+    /// with more than one.
     AccumulatorShape,
     /// A register used at two classes (an `i64` where the inference had
     /// settled on `f64`, one array gathered at two ranks) or read before
     /// anything defines it.
     ClassConflict,
-    /// An element parameter gathered from as an array (the rows of a
-    /// rank ≥ 2 argument) or used as a `bool`: element streams are rank-1
-    /// `f64`/`i64` arrays only.
+    /// An element parameter that is neither a scalar of a rank-1
+    /// `f64`/`i64` stream nor a rank-1 `f64` row of a rank-2 one: a row
+    /// gathered from at two indices (the rows of a rank ≥ 3 argument), a
+    /// parameter used as a `bool`, an `i64` stream of an inner SOAC (the
+    /// array slots of a tape are `f64`).
     ArrayParam,
     /// A reduce/scan operator, or the kernels of a redomap, outside what
     /// the fold executor runs: non-`f64` operands or neutral elements, a
-    /// result count different from the neutral count, accumulators.
+    /// result count different from the neutral count, accumulators, rows
+    /// or inner SOACs.
     OperatorShape,
     /// The other kernel of this `redomap` has no tape.
     RedomapPartner,
@@ -232,10 +316,12 @@ pub enum KernelForm {
     Generic(Fallback),
 }
 
-/// A compiled scalar tape.
+/// A compiled tape.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tape {
     pub ops: Vec<Op>,
+    /// The inner SOACs [`Op::Inner`] refers to, in body order.
+    pub inner: Vec<InnerOp>,
     /// The three scalar register files as templates: one entry per
     /// register, constants preloaded and zero elsewhere. A dispatch copies
     /// them into its scratch files; constant registers are never written,
@@ -243,9 +329,14 @@ pub(crate) struct Tape {
     pub f_init: Vec<f64>,
     pub b_init: Vec<bool>,
     pub i_init: Vec<i64>,
-    /// Per array-table slot: the rank its gathers require (`0` when only
-    /// `Len` touches it, which accepts any rank).
+    /// Per bound array slot: the rank its uses require — gathers, and the
+    /// streams and captures of inner SOACs it feeds (`0` when only `Len`
+    /// touches it, which accepts any rank). A parameter slot is a row, so
+    /// it admits `0` and `1` only.
     pub a_ranks: Vec<u8>,
+    /// How many tape-local rank-1 temporaries the executor's scratch holds
+    /// for this tape (their slots are `LOCAL | 0..num_locals`).
+    pub num_locals: usize,
     /// Per accumulator-table slot: the rank its scatter-adds require (`0`
     /// when the handle is only passed through to a result).
     pub c_ranks: Vec<u8>,
@@ -253,17 +344,24 @@ pub(crate) struct Tape {
     /// captures) lands in the tape register file. `None` means the slot is
     /// never read by the body.
     pub inputs: Vec<Option<(Cls, u16)>>,
-    /// For kernel tapes: the result registers — float outputs collected
-    /// per element, or accumulator handles passed through.
+    /// For kernel tapes: the result registers — float outputs and rank-1
+    /// rows collected per element, or accumulator handles passed through.
     pub rets: Vec<(Cls, u16)>,
     /// Number of `Un`/`Bin`/`Cmp`/`BoolBin`/`Sel` ops (region admission).
     pub compute_ops: usize,
+    /// Whether the tape runs its own ops at lane width 1 only: it has
+    /// inner SOACs, local temporaries, row parameters or results, or
+    /// accumulators (whose adds must land in element order).
+    pub serial: bool,
 }
 
 /// The forward lowering pass. `num_inputs` marks the VM register prefix
 /// that may be read before being written (kernel parameters + captures; for
 /// main-body regions, every register).
-pub(crate) struct Lowerer {
+pub(crate) struct Lowerer<'p> {
+    /// The form of every kernel lowered so far — all a body can dispatch,
+    /// since the compiler emits a lambda's inner kernels before the lambda.
+    forms: &'p [Form],
     /// Where each VM register currently lives in the tape.
     map: Vec<Option<(Cls, u16)>>,
     num_inputs: usize,
@@ -275,19 +373,25 @@ pub(crate) struct Lowerer {
     b_init: Vec<bool>,
     i_init: Vec<i64>,
     a_ranks: Vec<u8>,
+    num_locals: u16,
     c_ranks: Vec<u8>,
     f_const_ix: HashMap<u64, u16>,
     b_const_ix: [Option<u16>; 2],
     i_const_ix: HashMap<i64, u16>,
     ops: Vec<Op>,
+    inner: Vec<InnerOp>,
     compute_ops: usize,
 }
 
 type Lower<T> = Result<T, Fallback>;
 
-impl Lowerer {
-    pub(crate) fn new(num_regs: usize, num_inputs: usize) -> Lowerer {
+/// A kernel's tape, or why it has none.
+pub(crate) type Form = Result<Arc<TapeKernel>, Fallback>;
+
+impl<'p> Lowerer<'p> {
+    pub(crate) fn new(num_regs: usize, num_inputs: usize, forms: &'p [Form]) -> Lowerer<'p> {
         Lowerer {
+            forms,
             map: vec![None; num_regs],
             num_inputs,
             inputs: Vec::new(),
@@ -296,11 +400,13 @@ impl Lowerer {
             b_init: Vec::new(),
             i_init: Vec::new(),
             a_ranks: Vec::new(),
+            num_locals: 0,
             c_ranks: Vec::new(),
             f_const_ix: HashMap::new(),
             b_const_ix: [None; 2],
             i_const_ix: HashMap::new(),
             ops: Vec::new(),
+            inner: Vec::new(),
             compute_ops: 0,
         }
     }
@@ -321,6 +427,8 @@ impl Lowerer {
                 self.i_init.push(0);
                 self.i_init.len()
             }
+            // Bound slots stay below the `LOCAL` bit.
+            Cls::A if self.a_ranks.len() == LOCAL as usize => return Err(Fallback::TooLarge),
             Cls::A => {
                 self.a_ranks.push(rank);
                 self.a_ranks.len()
@@ -370,13 +478,21 @@ impl Lowerer {
 
     /// Read VM register `r` at class `cls`. A first read classifies it:
     /// inputs get an input binding, anything else is ill-formed
-    /// straight-line code and rejects the tape. Arrays and accumulator
-    /// handles only ever enter as inputs; `rank` is the number of indices
-    /// this use gathers or scatter-adds at (`0` for a rank-agnostic use
-    /// such as `Len` or a pass-through), and one slot used at two ranks —
-    /// which could not type-check anyway — rejects.
+    /// straight-line code and rejects the tape. Accumulator handles only
+    /// ever enter as inputs, arrays as inputs or as local temporaries;
+    /// `rank` is the rank this use requires of the slot (`0` for a
+    /// rank-agnostic use such as `Len` or a pass-through), and one slot
+    /// used at two ranks — which could not type-check anyway — rejects.
     fn reg(&mut self, r: Reg, cls: Cls, rank: u8) -> Lower<u16> {
         match self.binding(r)? {
+            // A local temporary is rank 1.
+            Some((Cls::A, i)) if cls == Cls::A && i & LOCAL != 0 => {
+                if rank <= 1 {
+                    Ok(i)
+                } else {
+                    Err(Fallback::ClassConflict)
+                }
+            }
             Some((c, i)) if c == cls => {
                 let known = match cls {
                     Cls::A => &mut self.a_ranks[i as usize],
@@ -454,6 +570,93 @@ impl Lowerer {
     fn push_compute(&mut self, op: Op) {
         self.ops.push(op);
         self.compute_ops += 1;
+    }
+
+    /// Bind VM register `r` to a fresh tape-local rank-1 array slot.
+    fn def_local(&mut self, r: Reg) -> Lower<u16> {
+        if self.num_locals == LOCAL {
+            return Err(Fallback::TooLarge);
+        }
+        let a = LOCAL | self.num_locals;
+        self.num_locals += 1;
+        self.bind(r, Cls::A, a)?;
+        Ok(a)
+    }
+
+    /// The tape of kernel `k`, dispatched by an inner SOAC of this body.
+    fn inner_kernel(&self, k: usize) -> Lower<Arc<TapeKernel>> {
+        match self.forms.get(k) {
+            Some(Ok(t)) => Ok(Arc::clone(t)),
+            Some(Err(_)) => Err(Fallback::InnerKernel),
+            None => Err(Fallback::Malformed),
+        }
+    }
+
+    /// The element streams of an inner `map`/`redomap` over kernel `k`,
+    /// as slots of this tape: a scalar parameter streams a rank-1 array
+    /// slot, a row parameter the rows of a rank-2 one, an accumulator
+    /// parameter takes the handle.
+    fn inner_streams(&mut self, k: &TapeKernel, args: &[Reg]) -> Lower<Vec<Slot>> {
+        let mut slots = Vec::with_capacity(args.len());
+        for (param, r) in k.tape.inputs.iter().zip(args) {
+            slots.push(Some(match *param {
+                Some((Cls::C, c)) => (Cls::C, self.reg(*r, Cls::C, k.tape.c_ranks[c as usize])?),
+                Some((Cls::F, _)) => (Cls::A, self.reg(*r, Cls::A, 1)?),
+                Some((Cls::A, _)) => (Cls::A, self.reg(*r, Cls::A, 2)?),
+                Some((Cls::I | Cls::B, _)) => return Err(Fallback::ArrayParam),
+                // Never read, but an array stream still gives the extent.
+                None => match self.binding(*r)? {
+                    Some(acc @ (Cls::C, _)) => acc,
+                    _ => (Cls::A, self.reg(*r, Cls::A, 0)?),
+                },
+            }));
+        }
+        Ok(slots)
+    }
+
+    /// The `f64` streams of an inner `reduce`.
+    fn inner_f64_streams(&mut self, args: &[Reg]) -> Lower<Vec<Slot>> {
+        let slot = |r: &Reg| Ok(Some((Cls::A, self.reg(*r, Cls::A, 1)?)));
+        args.iter().map(slot).collect()
+    }
+
+    /// The captures of inner kernel `k` as registers of this tape, each at
+    /// the class (and, for arrays and accumulators, rank) `k` inferred.
+    fn inner_captures(&mut self, k: &TapeKernel, captures: &[Reg]) -> Lower<Vec<Slot>> {
+        let wanted = &k.tape.inputs[k.num_params..];
+        if wanted.len() != captures.len() {
+            return Err(Fallback::Malformed);
+        }
+        let mut slots = Vec::with_capacity(captures.len());
+        for (want, r) in wanted.iter().zip(captures) {
+            slots.push(match *want {
+                None => None,
+                Some((cls, i)) => {
+                    let rank = match cls {
+                        Cls::A => k.tape.a_ranks[i as usize],
+                        Cls::C => k.tape.c_ranks[i as usize],
+                        Cls::F | Cls::B | Cls::I => 0,
+                    };
+                    Some((cls, self.reg(*r, cls, rank)?))
+                }
+            });
+        }
+        Ok(slots)
+    }
+
+    fn inner_neutral(&mut self, neutral: &[Opnd]) -> Lower<Vec<u16>> {
+        neutral.iter().map(|o| self.opnd(o, Cls::F)).collect()
+    }
+
+    fn inner_fold_dsts(&mut self, dsts: &[Reg]) -> Lower<Vec<u16>> {
+        dsts.iter().map(|d| self.def(*d, Cls::F)).collect()
+    }
+
+    fn push_inner(&mut self, op: InnerOp) -> Lower<()> {
+        let j = u16::try_from(self.inner.len()).map_err(|_| Fallback::TooLarge)?;
+        self.inner.push(op);
+        self.ops.push(Op::Inner(j));
+        Ok(())
     }
 
     /// Lower one instruction, or say why the tape is rejected.
@@ -650,6 +853,30 @@ impl Lowerer {
                 let d = self.def(*dst, I)?;
                 self.ops.push(Op::LenA(d, a));
             }
+            // A whole-row add — `val` is an array slot (a row, a temporary):
+            // one `Accum::add_slice`, like the generic `UpdAcc` with an
+            // array value.
+            Instr::UpdAcc { dst, acc, idx, val } if self.known_cls(val)? == Some(A) => {
+                let Opnd::Reg(row) = val else {
+                    return Err(Fallback::Malformed);
+                };
+                let a = self.reg(*row, A, 1)?;
+                let c = match &idx[..] {
+                    [] => {
+                        let c = self.reg(*acc, C, 1)?;
+                        self.ops.push(Op::UpdAccRow(c, a));
+                        c
+                    }
+                    [i] => {
+                        let c = self.reg(*acc, C, 2)?;
+                        let i = self.opnd(i, I)?;
+                        self.ops.push(Op::UpdAccRow1(c, i, a));
+                        c
+                    }
+                    _ => return Err(Fallback::AccumulatorShape),
+                };
+                self.bind(*dst, C, c)?;
+            }
             // Scatter-adds into shared accumulators — the write half of vjp
             // transposition (`dst[i] += v`, `w[i][j] += v`). The executor
             // calls `Accum::add_at` directly, so the negative-index panic,
@@ -681,14 +908,96 @@ impl Lowerer {
             Instr::Jmp { .. } | Instr::JmpIfNot { .. } | Instr::Take { .. } => {
                 return Err(Fallback::ControlFlow)
             }
-            Instr::Update { .. }
-            | Instr::Iota { .. }
-            | Instr::Replicate { .. }
-            | Instr::Reverse { .. } => return Err(Fallback::ArrayConstruction),
-            Instr::Map { .. }
-            | Instr::Reduce { .. }
-            | Instr::Scan { .. }
-            | Instr::Redomap { .. }
+            // `replicate n x` of an `f64` scalar: a local temporary.
+            Instr::Replicate { dst, n, val } => {
+                if !matches!(self.known_cls(val)?, None | Some(F)) {
+                    return Err(Fallback::ArrayConstruction);
+                }
+                let v = self.opnd(val, F)?;
+                let n = self.opnd(n, I)?;
+                let a = self.def_local(*dst)?;
+                self.ops.push(Op::Replicate(a, n, v));
+            }
+            Instr::Update { .. } | Instr::Iota { .. } | Instr::Reverse { .. } => {
+                return Err(Fallback::ArrayConstruction)
+            }
+            // Inner SOACs over kernels that are tapes themselves. Every
+            // operand is resolved to a register of this tape at the class
+            // the inner tape inferred, so an inner dispatch has nothing left
+            // to check but stream extents.
+            Instr::Map {
+                kernel,
+                dsts,
+                args,
+                captures,
+            } => {
+                let k = self.inner_kernel(*kernel)?;
+                let args = self.inner_streams(&k, args)?;
+                let captures = self.inner_captures(&k, captures)?;
+                if dsts.len() != k.tape.rets.len() {
+                    return Err(Fallback::Malformed);
+                }
+                let mut cols = Vec::with_capacity(k.cols.len());
+                for ((dst, ret), acc) in dsts.iter().zip(&k.tape.rets).zip(&k.acc_rets) {
+                    match (ret.0, acc) {
+                        (F, _) => cols.push(self.def_local(*dst)?),
+                        // The handle that came in is the handle that
+                        // comes out: `dst` aliases its slot.
+                        (C, Some(slot)) => match args.iter().chain(&captures).nth(*slot) {
+                            Some(Some((C, c))) => self.bind(*dst, C, *c)?,
+                            _ => return Err(Fallback::Malformed),
+                        },
+                        // A row column would be a rank-2 temporary.
+                        _ => return Err(Fallback::ResultType),
+                    }
+                }
+                self.push_inner(InnerOp::Map {
+                    k,
+                    args,
+                    captures,
+                    dsts: cols,
+                })?;
+            }
+            Instr::Reduce {
+                kernel,
+                dsts,
+                neutral,
+                args,
+                captures,
+            } => {
+                let k = self.inner_kernel(*kernel)?;
+                let op = InnerOp::Reduce {
+                    neutral: self.inner_neutral(neutral)?,
+                    args: self.inner_f64_streams(args)?,
+                    captures: self.inner_captures(&k, captures)?,
+                    dsts: self.inner_fold_dsts(dsts)?,
+                    k,
+                };
+                self.push_inner(op)?;
+            }
+            Instr::Redomap {
+                red_kernel,
+                map_kernel,
+                dsts,
+                neutral,
+                args,
+                red_captures,
+                map_captures,
+            } => {
+                let rk = self.inner_kernel(*red_kernel)?;
+                let mk = self.inner_kernel(*map_kernel)?;
+                let op = InnerOp::Redomap {
+                    neutral: self.inner_neutral(neutral)?,
+                    args: self.inner_streams(&mk, args)?,
+                    red_captures: self.inner_captures(&rk, red_captures)?,
+                    map_captures: self.inner_captures(&mk, map_captures)?,
+                    dsts: self.inner_fold_dsts(dsts)?,
+                    rk,
+                    mk,
+                };
+                self.push_inner(op)?;
+            }
+            Instr::Scan { .. }
             | Instr::Hist { .. }
             | Instr::Scatter { .. }
             | Instr::WithAcc { .. } => return Err(Fallback::NestedSoac),
@@ -696,15 +1005,16 @@ impl Lowerer {
         Ok(())
     }
 
-    /// Resolve a kernel result operand: a float register (collected per
-    /// element) or an accumulator slot (handle passed through).
-    fn ret_slot(&mut self, o: &Opnd) -> Lower<(Cls, u16)> {
-        if let Opnd::Reg(r) = o {
-            if let Some((Cls::C, i)) = self.binding(*r)? {
-                return Ok((Cls::C, i));
-            }
+    /// Resolve a kernel result operand of declared type `ty`: a float
+    /// register or a rank-1 array slot (collected per element), or an
+    /// accumulator slot (handle passed through).
+    fn ret_slot(&mut self, o: &Opnd, ty: &Type) -> Lower<(Cls, u16)> {
+        match (ty, o) {
+            (Type::Acc { .. }, Opnd::Reg(r)) => Ok((Cls::C, self.reg(*r, Cls::C, 0)?)),
+            (Type::Array { .. }, Opnd::Reg(r)) => Ok((Cls::A, self.reg(*r, Cls::A, 1)?)),
+            (Type::Scalar(_), _) => Ok((Cls::F, self.opnd(o, Cls::F)?)),
+            _ => Err(Fallback::Malformed),
         }
-        Ok((Cls::F, self.opnd(o, Cls::F)?))
     }
 
     /// Finish into a tape whose `inputs` are indexed by kernel frame slot
@@ -719,41 +1029,66 @@ impl Lowerer {
         }
         Tape {
             ops: self.ops,
+            inner: self.inner,
             f_init: self.f_init,
             b_init: self.b_init,
             i_init: self.i_init,
             a_ranks: self.a_ranks,
+            num_locals: self.num_locals as usize,
             c_ranks: self.c_ranks,
             inputs,
             rets,
             compute_ops: self.compute_ops,
+            serial: false,
         }
     }
 }
 
-/// How many element streams, gather tables and accumulators one dispatch
-/// binds (on its stack, so that binding allocates nothing). The ten
-/// workloads and their vjps peak at 5, 2 and 2; a kernel past a bound
-/// falls back with [`Fallback::TooLarge`].
+/// How many element streams, array views and accumulators one dispatch
+/// binds (on its stack, so that binding allocates nothing; local
+/// temporaries live in the scratch and do not count). The ten workloads
+/// and their vjps peak at 5, 3 and 2; a kernel past a bound falls back with
+/// [`Fallback::TooLarge`].
 pub(crate) const MAX_STREAMS: usize = 8;
 pub(crate) const MAX_TABLES: usize = 8;
 pub(crate) const MAX_ACCS: usize = 8;
 
+/// One collected result column of a kernel: a float register, or an array
+/// slot holding a rank-1 row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Col {
+    F(u16),
+    Row(u16),
+}
+
+/// A fold operator that is exactly `acc op x` (or `x op acc`) on `f64`:
+/// folded by a native loop instead of one tape run per element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NativeFold {
+    pub op: FBin,
+    /// The operator reads the element first: `x op acc`.
+    pub swapped: bool,
+}
+
 /// A kernel lowered to a tape. The shape-class contract checked at each
-/// dispatch is what the bytecode does not record: rank-1 element streams
-/// whose element type matches each parameter slot's inferred class (`f64`
-/// or `i64`), and capture values matching theirs — scalars broadcast,
-/// `f64` arrays of the gathered rank borrowed whole as gather tables.
+/// dispatch from a frame is what the bytecode does not record: element
+/// streams whose rank and element type match each parameter slot's
+/// inferred class (rank-1 `f64`/`i64` for scalars, rank-2 `f64` for rows),
+/// and capture values matching theirs — scalars broadcast, `f64` arrays of
+/// the required rank borrowed whole. A dispatch from inside another tape
+/// had all of this settled when that tape was lowered.
 #[derive(Debug, Clone)]
 pub(crate) struct TapeKernel {
     pub tape: Tape,
     pub num_params: usize,
-    /// The float result registers in result order.
-    pub f_rets: Vec<u16>,
-    /// Per result column: `None` for a float column, `Some(slot)` for an
-    /// accumulator passed through, `slot` being the kernel-frame slot
-    /// (parameter, then capture) its handle came in on.
+    /// The float and row results, in result order.
+    pub cols: Vec<Col>,
+    /// Per result column: `None` for a float or row column, `Some(slot)`
+    /// for an accumulator passed through, `slot` being the kernel-frame
+    /// slot (parameter, then capture) its handle came in on.
     pub acc_rets: Vec<Option<usize>>,
+    /// Set when the tape is one float binary op over its two parameters.
+    pub native: Option<NativeFold>,
 }
 
 impl TapeKernel {
@@ -764,31 +1099,43 @@ impl TapeKernel {
     }
 
     /// The static half of the `map` contract: every element parameter is
-    /// an `f64`/`i64` stream, an accumulator, or dead.
+    /// an `f64`/`i64` scalar, a rank-1 `f64` row, an accumulator, or dead.
     fn check_map(&self, num_args: usize) -> Lower<()> {
         if num_args != self.num_params {
             return Err(Fallback::Malformed);
         }
-        let streams = &self.tape.inputs[..self.num_params];
-        if streams
-            .iter()
-            .any(|s| matches!(s, Some((Cls::A | Cls::B, _))))
-        {
+        let bad = |s: &Option<(Cls, u16)>| match *s {
+            Some((Cls::B, _)) => true,
+            Some((Cls::A, a)) => self.tape.a_ranks[a as usize] > 1,
+            _ => false,
+        };
+        if self.tape.inputs[..self.num_params].iter().any(bad) {
             return Err(Fallback::ArrayParam);
+        }
+        Ok(())
+    }
+
+    /// The map side of a `redomap`: a `map` whose results are all float
+    /// scalars (they are the fold's elements) and that threads no
+    /// accumulator.
+    fn check_redomap_map(&self, num_args: usize) -> Lower<()> {
+        self.check_map(num_args)?;
+        if !self.tape.c_ranks.is_empty() || self.cols.iter().any(|c| matches!(c, Col::Row(_))) {
+            return Err(Fallback::OperatorShape);
         }
         Ok(())
     }
 
     /// The static half of the fold contract (`reduce`, `scan`, the reduce
     /// side of a `redomap`): `width` float accumulators and `num_elems`
-    /// float elements in, `width` floats out, no accumulator handles.
+    /// float elements in, `width` floats out, straight-line scalar code.
     fn check_fold(&self, neutral: &[Opnd], num_elems: usize) -> Lower<()> {
         let width = neutral.len();
         if self.num_params != width + num_elems {
             return Err(Fallback::Malformed);
         }
         if self.tape.rets.len() != width
-            || !self.tape.c_ranks.is_empty()
+            || self.tape.serial
             || !self.slots_are_f64(0, self.num_params)
             || neutral
                 .iter()
@@ -800,15 +1147,39 @@ impl TapeKernel {
     }
 }
 
+/// Whether `tape` is exactly one float binary op over its two parameters
+/// (no captures), and in which operand order.
+fn native_fold(tape: &Tape, num_params: usize) -> Option<NativeFold> {
+    let [Op::Bin(op, d, x, y)] = tape.ops[..] else {
+        return None;
+    };
+    let [Some((Cls::F, p0)), Some((Cls::F, p1))] = tape.inputs[..] else {
+        return None;
+    };
+    if num_params != 2 || tape.rets[..] != [(Cls::F, d)] {
+        return None;
+    }
+    match (x, y) {
+        _ if (x, y) == (p0, p1) => Some(NativeFold { op, swapped: false }),
+        _ if (x, y) == (p1, p0) => Some(NativeFold { op, swapped: true }),
+        _ => None,
+    }
+}
+
 /// Lower a SOAC kernel body, or say which part of it is outside the tape
-/// fragment.
-fn lower_kernel(k: &Kernel) -> Lower<TapeKernel> {
-    // Results must be scalar f64 (flat output buffers) or f64 accumulators
-    // (the shared handle is passed through, never materialized per element).
+/// fragment. `forms` holds the kernels lowered before it.
+fn lower_kernel(k: &Kernel, forms: &[Form]) -> Lower<TapeKernel> {
+    // Results must be scalar f64 or rank-1 f64 rows (flat output buffers)
+    // or f64 accumulators (the shared handle is passed through, never
+    // materialized per element).
     if !k.ret.iter().all(|t| {
         matches!(
             t,
             Type::Scalar(ScalarType::F64)
+                | Type::Array {
+                    elem: ScalarType::F64,
+                    rank: 1
+                }
                 | Type::Acc {
                     elem: ScalarType::F64,
                     ..
@@ -818,10 +1189,10 @@ fn lower_kernel(k: &Kernel) -> Lower<TapeKernel> {
         return Err(Fallback::ResultType);
     }
     let num_inputs = k.num_params + k.num_captures;
-    if num_inputs > k.code.num_regs {
+    if num_inputs > k.code.num_regs || k.code.ret.len() != k.ret.len() {
         return Err(Fallback::Malformed);
     }
-    let mut lo = Lowerer::new(k.code.num_regs, num_inputs);
+    let mut lo = Lowerer::new(k.code.num_regs, num_inputs, forms);
     for instr in &k.code.instrs {
         lo.lower_instr(instr)?;
     }
@@ -829,19 +1200,30 @@ fn lower_kernel(k: &Kernel) -> Lower<TapeKernel> {
         .code
         .ret
         .iter()
-        .map(|o| lo.ret_slot(o))
+        .zip(&k.ret)
+        .map(|(o, ty)| lo.ret_slot(o, ty))
         .collect::<Lower<Vec<(Cls, u16)>>>()?;
-    let tape = lo.finish(num_inputs, rets);
+    let mut tape = lo.finish(num_inputs, rets);
     if k.num_params > MAX_STREAMS
         || tape.a_ranks.len() > MAX_TABLES
         || tape.c_ranks.len() > MAX_ACCS
     {
         return Err(Fallback::TooLarge);
     }
-    let f_rets = tape
+    let is_array = |s: &Option<(Cls, u16)>| matches!(s, Some((Cls::A, _)));
+    tape.serial = !tape.inner.is_empty()
+        || !tape.c_ranks.is_empty()
+        || tape.num_locals > 0
+        || tape.inputs[..k.num_params].iter().any(is_array)
+        || tape.rets.iter().any(|r| r.0 == Cls::A);
+    let cols = tape
         .rets
         .iter()
-        .filter_map(|&(c, r)| (c == Cls::F).then_some(r))
+        .filter_map(|&(c, r)| match c {
+            Cls::F => Some(Col::F(r)),
+            Cls::A => Some(Col::Row(r)),
+            _ => None,
+        })
         .collect();
     let acc_rets = tape
         .rets
@@ -853,17 +1235,22 @@ fn lower_kernel(k: &Kernel) -> Lower<TapeKernel> {
         })
         .collect();
     Ok(TapeKernel {
+        native: native_fold(&tape, k.num_params),
         tape,
         num_params: k.num_params,
-        f_rets,
+        cols,
         acc_rets,
     })
 }
 
 /// Lower one straight-line run of main-body instructions; used by the
 /// region scanner.
-pub(crate) fn lower_straight_line(code: &CodeObject, lo_pc: usize, hi_pc: usize) -> Lower<Lowerer> {
-    let mut lo = Lowerer::new(code.num_regs, code.num_regs);
+pub(crate) fn lower_straight_line(
+    code: &CodeObject,
+    lo_pc: usize,
+    hi_pc: usize,
+) -> Lower<Lowerer<'static>> {
+    let mut lo = Lowerer::new(code.num_regs, code.num_regs, &[]);
     for instr in &code.instrs[lo_pc..hi_pc] {
         lo.lower_instr(instr)?;
     }
@@ -876,7 +1263,7 @@ pub(crate) fn lower_straight_line(code: &CodeObject, lo_pc: usize, hi_pc: usize)
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Lowered {
     /// Per kernel: its tape, or why it runs as generic bytecode.
-    pub kernels: Vec<Result<TapeKernel, Fallback>>,
+    pub kernels: Vec<Form>,
     /// Per kernel and result column: the kernel-frame slot (parameter,
     /// then capture) an accumulator result is threaded from; `None` for
     /// other columns. What a `map` of extent zero returns for the column.
@@ -887,79 +1274,84 @@ pub(crate) struct Lowered {
     pub region_starts: Vec<u32>,
 }
 
+/// Hold every SOAC instruction of `code` against the kernels it dispatches
+/// (the static half of the shape contract): a kernel whose tape the
+/// dispatching instruction cannot run loses it, the first reason found
+/// staying. Kernels `code` cannot refer to yet (`forms` is shorter) are
+/// left alone.
+fn assign_roles(
+    code: &CodeObject,
+    kernels: &[Kernel],
+    forms: &mut [Form],
+    dispatched: &mut [bool],
+) {
+    let mut role = |forms: &mut [Form], k: usize, check: &dyn Fn(&TapeKernel) -> Lower<()>| {
+        if let Some(form) = forms.get_mut(k) {
+            dispatched[k] = true;
+            if let Err(why) = form.as_deref().map_err(|e| *e).and_then(check) {
+                *form = Err(why);
+            }
+        }
+    };
+    for instr in &code.instrs {
+        match instr {
+            Instr::Map { kernel, args, .. } => role(forms, *kernel, &|t| t.check_map(args.len())),
+            Instr::Reduce {
+                kernel,
+                neutral,
+                args,
+                ..
+            }
+            | Instr::Scan {
+                kernel,
+                neutral,
+                args,
+                ..
+            } => role(forms, *kernel, &|t| t.check_fold(neutral, args.len())),
+            Instr::Redomap {
+                red_kernel,
+                map_kernel,
+                neutral,
+                args,
+                ..
+            } => {
+                role(forms, *map_kernel, &|t| t.check_redomap_map(args.len()));
+                let elems = kernels.get(*map_kernel).map_or(0, |k| k.code.ret.len());
+                role(forms, *red_kernel, &|t| t.check_fold(neutral, elems));
+                // A redomap runs both kernels as tapes or neither.
+                let pair = [*red_kernel, *map_kernel];
+                if !pair.iter().all(|k| matches!(forms.get(*k), Some(Ok(_)))) {
+                    for k in pair {
+                        if let Some(form @ Ok(_)) = forms.get_mut(k) {
+                            *form = Err(Fallback::RedomapPartner);
+                        }
+                    }
+                }
+            }
+            Instr::WithAcc { kernel, .. } => role(forms, *kernel, &|_| Err(Fallback::WithAccBody)),
+            _ => {}
+        }
+    }
+}
+
 /// Lower every kernel and every main-body region of a program — the one
 /// place tapes are built, called by `compile` and `Program::assemble`.
 /// A kernel gets a tape when its body fits the fragment *and* the SOAC
 /// instruction dispatching it can run one (the static half of the shape
 /// contract); otherwise it gets the reason, also emitted as a `compile`
-/// trace instant.
+/// trace instant. Kernels are lowered in index order — the compiler emits
+/// a lambda's inner kernels before the lambda itself — and a body's SOAC
+/// instructions are held against the kernels they dispatch before the body
+/// is lowered, so an inner SOAC sees the final form of its kernels.
 pub(crate) fn lower_program(main: &CodeObject, kernels: &[Kernel]) -> Lowered {
-    let mut forms: Vec<Result<TapeKernel, Fallback>> = kernels.iter().map(lower_kernel).collect();
+    let mut forms: Vec<Form> = Vec::with_capacity(kernels.len());
     let mut dispatched = vec![false; kernels.len()];
-    // Hold the dispatching instruction's side of the contract against
-    // kernel `k` (the first reason found stays).
-    let mut role = |forms: &mut [Result<TapeKernel, Fallback>],
-                    k: usize,
-                    check: &dyn Fn(&TapeKernel) -> Lower<()>| {
-        if let Some(seen) = dispatched.get_mut(k) {
-            *seen = true;
-            if let Err(why) = forms[k].as_ref().map_err(|e| *e).and_then(check) {
-                forms[k] = Err(why);
-            }
-        }
-    };
-    for code in std::iter::once(main).chain(kernels.iter().map(|k| &k.code)) {
-        for instr in &code.instrs {
-            match instr {
-                Instr::Map { kernel, args, .. } => {
-                    role(&mut forms, *kernel, &|t| t.check_map(args.len()))
-                }
-                Instr::Reduce {
-                    kernel,
-                    neutral,
-                    args,
-                    ..
-                }
-                | Instr::Scan {
-                    kernel,
-                    neutral,
-                    args,
-                    ..
-                } => role(&mut forms, *kernel, &|t| t.check_fold(neutral, args.len())),
-                Instr::Redomap {
-                    red_kernel,
-                    map_kernel,
-                    neutral,
-                    args,
-                    ..
-                } => {
-                    role(&mut forms, *map_kernel, &|t| {
-                        t.check_map(args.len())?;
-                        if t.tape.c_ranks.is_empty() {
-                            Ok(())
-                        } else {
-                            Err(Fallback::OperatorShape)
-                        }
-                    });
-                    let elems = kernels.get(*map_kernel).map_or(0, |k| k.code.ret.len());
-                    role(&mut forms, *red_kernel, &|t| t.check_fold(neutral, elems));
-                    // A redomap runs both kernels as tapes or neither.
-                    let pair = [*red_kernel, *map_kernel];
-                    if !pair.iter().all(|k| matches!(forms.get(*k), Some(Ok(_)))) {
-                        for k in pair {
-                            if let Some(form @ Ok(_)) = forms.get_mut(k) {
-                                *form = Err(Fallback::RedomapPartner);
-                            }
-                        }
-                    }
-                }
-                Instr::WithAcc { kernel, .. } => {
-                    role(&mut forms, *kernel, &|_| Err(Fallback::WithAccBody))
-                }
-                _ => {}
-            }
-        }
+    for k in kernels {
+        assign_roles(&k.code, kernels, &mut forms, &mut dispatched);
+        let form = lower_kernel(k, &forms).map(Arc::new);
+        forms.push(form);
     }
+    assign_roles(main, kernels, &mut forms, &mut dispatched);
     for (form, seen) in forms.iter_mut().zip(dispatched) {
         if !seen {
             *form = Err(Fallback::Malformed);

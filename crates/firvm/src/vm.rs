@@ -5,14 +5,17 @@
 //! instruction picks its kernel's form statically: a kernel with a tape
 //! ([`Program::tape_report`]) runs on the monomorphic tape executor
 //! (`exec.rs`), which borrows its arguments from the frame and
-//! allocates nothing but its outputs; a kernel without one — or a dispatch
-//! whose values are outside the tape's shape class — runs the generic path
-//! here, which sets up the kernel frame **once** (captures included) and
-//! drives the compiled kernel body per element or per chunk. Both schedule
-//! chunks on the shared persistent worker pool with the same policy, and
-//! both are bitwise equal by construction and by test. Scalar kernel
-//! outputs are written to flat typed buffers, so a `map` producing `f64`s
-//! never boxes per-element values.
+//! allocates nothing but its outputs — and runs the inner `map`/`reduce`/
+//! `redomap`s of the kernel body itself, over row views and scratch-owned
+//! temporaries, so a whole `map` nest is **one** dispatch from here; a
+//! kernel without a tape — or a dispatch whose values are outside the
+//! tape's shape class — runs the generic path here, which sets up the
+//! kernel frame **once** (captures included) and drives the compiled kernel
+//! body per element or per chunk, re-entering this dispatcher for every
+//! SOAC in it. Both schedule chunks on the shared persistent worker pool
+//! with the same policy, and both are bitwise equal by construction and by
+//! test. Scalar kernel outputs are written to flat typed buffers, so a
+//! `map` producing `f64`s never boxes per-element values.
 
 use fir::ir::ReduceOp;
 use fir::types::{ScalarType, Type};
@@ -30,7 +33,10 @@ pub(crate) struct ExecCtx<'a> {
 }
 
 /// How many SOAC dispatches (and main-body regions) of a run executed as
-/// tapes, and how many as generic bytecode.
+/// tapes, and how many as generic bytecode. These are VM-level dispatches —
+/// SOAC instructions of the main body or of a generic kernel body: a `map`
+/// nest that runs inside one tape counts once, however many inner SOACs
+/// the tape runs per element.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchCounts {
     pub tapes: u64,
@@ -39,7 +45,8 @@ pub struct DispatchCounts {
 
 /// What one strand of execution — a `run_program`, or one chunk of a
 /// parallel generic SOAC — carries from dispatch to dispatch: the tape
-/// executor's scratch buffers and the dispatch counts. Plain fields, no
+/// executor's scratch buffers (one set per nest depth) and the dispatch
+/// counts. Plain fields, no
 /// atomics: a strand belongs to one thread, and a parallel SOAC adds its
 /// chunks' counts to the dispatching strand when they return.
 #[derive(Default)]
@@ -325,7 +332,8 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value], strand:
                 #[cfg(feature = "profile")]
                 let _k = fir_trace::span("kernel", ctx.prog.kernel_label(*kernel));
                 let taped = lowered.kernels[*kernel].as_ref().is_ok_and(|k| {
-                    exec::scan(k, regs, dsts, neutral, args, captures, &mut strand.scratch)
+                    let scratch = &mut strand.scratch;
+                    exec::scan(k, ctx.cfg, regs, dsts, neutral, args, captures, scratch)
                 });
                 strand.count(taped);
                 if !taped {

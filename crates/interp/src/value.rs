@@ -325,7 +325,8 @@ impl Array {
     }
 
     /// Stack `n` equally-shaped element values into an array with outer
-    /// length `n`. All elements must have the same type and shape.
+    /// length `n`. All elements must have the same type and shape; rows of
+    /// different shapes panic (arrays are regular).
     pub fn stack(elems: &[Value]) -> Array {
         assert!(!elems.is_empty(), "Array::stack of zero elements");
         match &elems[0] {
@@ -342,6 +343,14 @@ impl Array {
                 Array::from_bool(vec![elems.len()], data)
             }
             Value::Arr(a0) => {
+                for (i, v) in elems.iter().enumerate() {
+                    let row = &v.as_arr().shape;
+                    assert!(
+                        *row == a0.shape,
+                        "irregular array: row {i} has shape {row:?}, row 0 has {:?}",
+                        a0.shape
+                    );
+                }
                 let mut shape = vec![elems.len()];
                 shape.extend_from_slice(&a0.shape);
                 match &a0.data {
@@ -561,6 +570,15 @@ mod tests {
         ]);
         assert_eq!(rows.shape, vec![2, 2]);
         assert_eq!(rows.f64s(), &[1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "irregular array: row 1 has shape [2], row 0 has [1]")]
+    fn stack_rejects_rows_of_different_shapes() {
+        Array::stack(&[
+            Value::Arr(Array::vec_i64(vec![0])),
+            Value::Arr(Array::vec_i64(vec![0, 1])),
+        ]);
     }
 
     #[test]

@@ -259,6 +259,62 @@ fn out_of_bounds_columns_fail_per_dimension_before_and_after() {
 }
 
 // ---------------------------------------------------------------------
+// Irregular nests
+// ---------------------------------------------------------------------
+
+/// A `map` whose rows differ in length has no regular array to return: it
+/// is a runtime error on every backend, on the generic path (`i64` rows
+/// stacked by `Array::stack`) and on the tape path (`f64` rows written into
+/// one flat buffer) alike — never an `Ok` with a shape its data does not
+/// fill.
+#[test]
+fn irregular_rows_are_a_runtime_error_on_every_backend_and_path() {
+    let mut b = Builder::new();
+    let iotas = b.build_fun("iotas", &[Type::arr_i64(1)], |b, ps| {
+        let rows = b.map1(Type::arr_i64(2), &[ps[0]], |b, ns| {
+            vec![b.iota(ns[0].into()).into()]
+        });
+        vec![rows.into()]
+    });
+    let mut b = Builder::new();
+    let replicas = b.build_fun("replicas", &[Type::arr_i64(1), Type::F64], |b, ps| {
+        let rows = b.map1(Type::arr_f64(2), &[ps[0]], |b, ns| {
+            vec![b.replicate(ns[0].into(), ps[1].into()).into()]
+        });
+        vec![rows.into()]
+    });
+    for fun in [&iotas, &replicas] {
+        check_fun(fun).unwrap();
+    }
+    // The `f64` rows are a tape with a row result; the `i64` rows are not.
+    let forms = |fun: &Fun| futhark_ad_repro::firvm::compile(fun).tape_report();
+    assert_eq!(
+        forms(&replicas),
+        [futhark_ad_repro::firvm::KernelForm::Tape]
+    );
+    assert!(forms(&iotas)[0] != futhark_ad_repro::firvm::KernelForm::Tape);
+
+    let ragged = Value::from(vec![1i64, 2, 3]);
+    let regular = Value::from(vec![2i64, 2, 2]);
+    for name in ["interp-seq", "vm-seq", "vm"] {
+        let engine = Engine::by_name(name)
+            .unwrap()
+            .with_pipeline(PassPipeline::none());
+        for (fun, extra) in [(&iotas, vec![]), (&replicas, vec![Value::F64(0.5)])] {
+            let what = format!("{name}, {}", fun.name);
+            let f = engine.compile(fun).unwrap();
+            let args = |ns: &Value| [vec![ns.clone()], extra.clone()].concat();
+            let message = runtime_error(&what, f.call(&args(&ragged)));
+            assert!(message.contains("irregular array"), "{what}: {message}");
+            // The same program over equal extents is a regular `[3, 2]`.
+            let out = f.call(&args(&regular)).unwrap();
+            assert_eq!(out[0].as_arr().shape, [3, 2], "{what}");
+            assert_eq!(out[0].as_arr().data.len(), 6, "{what}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Where it must not fire
 // ---------------------------------------------------------------------
 
