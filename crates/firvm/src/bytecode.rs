@@ -243,6 +243,14 @@ impl Program {
         self.lowered.kernels.iter().filter(|k| k.is_ok()).count()
     }
 
+    /// How many of the tapes are serial — inner SOACs, rows, temporaries or
+    /// accumulators in the body, so they run one element at a time; the
+    /// others run in blocks as wide as the stream.
+    pub fn num_serial_tapes(&self) -> usize {
+        let tapes = self.lowered.kernels.iter().flatten();
+        tapes.filter(|k| k.tape.serial).count()
+    }
+
     /// This program with every tape and region dropped, so that all of it
     /// runs as generic bytecode — the reference the tape executor is held
     /// bitwise equal to.

@@ -1,18 +1,42 @@
-//! Tape execution: lane-unrolled interpretation over flat register files.
+//! Tape execution: a stream-block at a time over flat register files.
 //!
-//! The inner loop is monomorphized over a const lane width `W`: maps run
-//! `W = 4` blocks (each op processes four elements as a `[f64; 4]`, which
-//! the optimizer turns into SIMD) with a `W = 1` tail; order-sensitive
-//! forms (reduce folds, scans) and *serial* tapes — those with inner
-//! SOACs, rows, local temporaries or accumulators — run `W = 1`. Bitwise
-//! equality with the generic bytecode path holds by construction for maps
-//! — lanes are independent elements put through the identical op sequence
-//! — and chunking uses the same [`run_chunked`] policy under the caller's
+//! The inner loop ([`run_ops`]) is monomorphized over a const lane width
+//! `W` and takes the number of *live* lanes `w ≤ W` with it. A tape that is
+//! not serial — a flat `map`, the innermost bodies of a nest — runs in
+//! registers of [`B`] lanes, one block of `min(remaining, B)` live lanes
+//! after another: a 13-element stream is one block of 13, a 32-element row
+//! two full ones, and no lane past the live count is ever computed (so a
+//! dead lane cannot fail a gather). Order-sensitive forms (reduce folds,
+//! scans), regions and *serial* tapes — those with inner SOACs, rows, local
+//! temporaries or accumulators — run `W = 1`. Bitwise equality with the
+//! generic bytecode path holds by construction for maps — lanes are
+//! independent elements put through the identical op sequence — and
+//! chunking uses the same [`run_chunked`] policy under the caller's
 //! [`ExecConfig`], so chunk boundaries, the one-partial shortcut and the
 //! sequential partial combine all match the generic reduce/redomap
 //! exactly. A fold whose operator is one float binary op
 //! ([`TapeKernel::native`]) runs as a native loop with the tape's operand
-//! order instead of one tape run per element.
+//! order — over the live lanes of each block of a redomap — instead of one
+//! tape run per element.
+//!
+//! **Set-up that does not grow with the lane width.** [`Call::load`] writes
+//! the tape's constants and broadcasts its scalar captures over the lanes
+//! the dispatch can use (`min(n, B)`), and nothing else: a register is
+//! never read before it is written, except constants, captures and the
+//! inputs the block loop writes, so files are sized but never cleared and a
+//! two-element inner dispatch pays for two lanes.
+//!
+//! **Owned and shared accumulator adds.** A strand of execution knows
+//! whether it is one of several chunks running concurrently — the
+//! [`Scratch`] a parallel arm makes for its chunk is *shared*
+//! ([`Scratch::shared`]; `vm::chunked` does the same for generic kernels),
+//! the one a `run_program` starts with, and every inner dispatch it makes
+//! inline, is not — and that is the only place the decision is made. On a
+//! shared strand `upd_acc` is a CAS loop (the paper's `atomicAdd`); on an
+//! owned one it is load, add, store on the same cells, like the paper's
+//! sequential rows. Fork–join makes this sound: while chunks run, the
+//! strand that forked them is blocked inside [`run_chunked`] and adds
+//! nothing, and a chunk's own inner dispatches inherit its flag.
 //!
 //! **One dispatch path at every nest depth.** A dispatch takes its
 //! operands from an [`Operands`] source: the VM frame for a SOAC
@@ -36,6 +60,8 @@
 //! not record: ranks and element types); the caller then runs the generic
 //! path. An inner dispatch had its classes settled at lowering.
 
+use std::cell::Cell;
+
 use interp::value::Data;
 use interp::{arena, Accum, Array, ExecConfig, Value};
 
@@ -45,6 +71,10 @@ use crate::tape::{
     BBin, Cls, Col, FBin, FCmp, FUn, IBin, ICmp, IUn, InnerOp, NativeFold, Op, Slot, Tape,
     TapeKernel, LOCAL, MAX_ACCS, MAX_STREAMS, MAX_TABLES,
 };
+
+/// The lane width of the register files a tape that is not serial runs in:
+/// a block is `min(remaining, B)` live lanes of them.
+pub(crate) const B: usize = 16;
 
 /// A view of `f64` data with its leading dimensions: `d0` is the outer
 /// dim, `d1` the row length for rank-2 views (`1` otherwise), so
@@ -88,6 +118,62 @@ impl<'e> Views<'e> {
         } else {
             self.ext[a as usize]
         }
+    }
+}
+
+/// `acc[idx] += v`, skipping an out-of-bounds index: by CAS when the adding
+/// strand is `shared` (one of several chunks running concurrently), by
+/// load–add–store on the same cell when it is not.
+pub(crate) fn acc_add(acc: &Accum, shared: bool, idx: &[usize], v: f64) {
+    if acc.in_bounds(idx) {
+        let (off, _) = acc.offset_of(idx);
+        if shared {
+            acc.add_at(off, v);
+        } else {
+            acc.add_at_owned(off, v);
+        }
+    }
+}
+
+/// `acc[idx] += vs` for a whole sub-array, like [`acc_add`]; `vs` must be
+/// exactly the extent `idx` addresses (`Accum` panics otherwise).
+pub(crate) fn acc_add_slice(acc: &Accum, shared: bool, idx: &[usize], vs: &[f64]) {
+    if acc.in_bounds(idx) {
+        let (off, span) = acc.offset_of(idx);
+        if shared {
+            acc.add_slice(off, span, vs);
+        } else {
+            acc.add_slice_owned(off, span, vs);
+        }
+    }
+}
+
+/// The accumulator slots of a running tape and whether its strand is
+/// shared (see [`Scratch::shared`]) — read where an add happens.
+#[derive(Clone, Copy)]
+struct Accs<'e> {
+    slots: &'e [Option<&'e Accum>],
+    shared: bool,
+}
+
+impl Accs<'_> {
+    /// For tapes that cannot hold an accumulator op: fold operators,
+    /// regions, the blocks of a tape that is not serial.
+    const NONE: Accs<'static> = Accs {
+        slots: &[],
+        shared: true,
+    };
+
+    fn get(&self, c: u16) -> &Accum {
+        self.slots[c as usize].expect("accumulator slot bound at dispatch")
+    }
+
+    fn add_at(&self, c: u16, idx: &[usize], v: f64) {
+        acc_add(self.get(c), self.shared, idx, v);
+    }
+
+    fn add_slice(&self, c: u16, idx: &[usize], vs: &[f64]) {
+        acc_add_slice(self.get(c), self.shared, idx, vs);
     }
 }
 
@@ -144,7 +230,8 @@ impl<'a> Operands<'a> for &'a [Value] {
 /// this source cannot fail on them.
 #[derive(Clone, Copy)]
 struct Regs<'e> {
-    files: &'e Files<1>,
+    /// Lane width 1: register `r` is `files.f[r]`.
+    files: &'e Files,
     arrs: Views<'e>,
     ranks: &'e [u8],
     accs: &'e [Option<&'e Accum>],
@@ -157,9 +244,9 @@ impl<'e> Operands<'e> for Regs<'e> {
     fn get(self, r: Slot) -> Arg<'e> {
         match r {
             None => Arg::Other,
-            Some((Cls::F, i)) => Arg::F(self.files.f[i as usize][0]),
-            Some((Cls::I, i)) => Arg::I(self.files.i[i as usize][0]),
-            Some((Cls::B, i)) => Arg::B(self.files.b[i as usize][0]),
+            Some((Cls::F, i)) => Arg::F(self.files.f[i as usize]),
+            Some((Cls::I, i)) => Arg::I(self.files.i[i as usize]),
+            Some((Cls::B, i)) => Arg::B(self.files.b[i as usize]),
             Some((Cls::A, a)) if a & LOCAL != 0 => Arg::Arr(self.arrs.get(a), 1),
             Some((Cls::A, a)) => Arg::Arr(self.arrs.get(a), self.ranks[a as usize]),
             Some((Cls::C, c)) => {
@@ -248,352 +335,195 @@ impl NativeFold {
 fn run_ops<const W: usize>(
     ops: &[Op],
     pc: usize,
-    f: &mut [[f64; W]],
-    b: &mut [[bool; W]],
-    ii: &mut [[i64; W]],
+    lanes: Lanes<W>,
+    w: usize,
     arrs: Views,
-    accs: &[Option<&Accum>],
+    accs: Accs,
 ) -> usize {
+    /// `o[l] <- lane(l)` for every live lane `l`.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    fn each<T, const W: usize>(o: &[Cell<T>; W], w: usize, lane: impl Fn(usize) -> T) {
+        // A range loop, not an iterator over `o[..w]`: `l < w ≤ W` stays
+        // visible where `lane` indexes its operand registers (measured: 7%
+        // of a GMM gradient).
+        for l in 0..w {
+            o[l].set(lane(l));
+        }
+    }
+    let Lanes { f, b, i: ii } = lanes;
+    // A constant at lane width 1; never past the registers' width.
+    let w = if W == 1 { 1 } else { w.min(W) };
     for (at, op) in ops.iter().enumerate().skip(pc) {
         match *op {
             Op::Inner(_) | Op::Replicate(..) => return at,
-            Op::MovF(d, s) => f[d as usize] = f[s as usize],
-            Op::MovB(d, s) => b[d as usize] = b[s as usize],
-            Op::MovI(d, s) => ii[d as usize] = ii[s as usize],
+            Op::MovF(d, s) => each(&f[d as usize], w, |l| f[s as usize][l].get()),
+            Op::MovB(d, s) => each(&b[d as usize], w, |l| b[s as usize][l].get()),
+            Op::MovI(d, s) => each(&ii[d as usize], w, |l| ii[s as usize][l].get()),
             Op::Un(u, d, a) => {
-                let x = f[a as usize];
-                let o = &mut f[d as usize];
+                let x = &f[a as usize];
+                let o = &f[d as usize];
                 match u {
-                    FUn::Neg => {
-                        for l in 0..W {
-                            o[l] = -x[l];
-                        }
-                    }
-                    FUn::Sin => {
-                        for l in 0..W {
-                            o[l] = x[l].sin();
-                        }
-                    }
-                    FUn::Cos => {
-                        for l in 0..W {
-                            o[l] = x[l].cos();
-                        }
-                    }
-                    FUn::Exp => {
-                        for l in 0..W {
-                            o[l] = x[l].exp();
-                        }
-                    }
-                    FUn::Log => {
-                        for l in 0..W {
-                            o[l] = x[l].ln();
-                        }
-                    }
-                    FUn::Sqrt => {
-                        for l in 0..W {
-                            o[l] = x[l].sqrt();
-                        }
-                    }
-                    FUn::Tanh => {
-                        for l in 0..W {
-                            o[l] = x[l].tanh();
-                        }
-                    }
-                    FUn::Sigmoid => {
-                        for l in 0..W {
-                            o[l] = 1.0 / (1.0 + (-x[l]).exp());
-                        }
-                    }
-                    FUn::Abs => {
-                        for l in 0..W {
-                            o[l] = x[l].abs();
-                        }
-                    }
-                    FUn::Recip => {
-                        for l in 0..W {
-                            o[l] = 1.0 / x[l];
-                        }
-                    }
+                    FUn::Neg => each(o, w, |l| -x[l].get()),
+                    FUn::Sin => each(o, w, |l| x[l].get().sin()),
+                    FUn::Cos => each(o, w, |l| x[l].get().cos()),
+                    FUn::Exp => each(o, w, |l| x[l].get().exp()),
+                    FUn::Log => each(o, w, |l| x[l].get().ln()),
+                    FUn::Sqrt => each(o, w, |l| x[l].get().sqrt()),
+                    FUn::Tanh => each(o, w, |l| x[l].get().tanh()),
+                    FUn::Sigmoid => each(o, w, |l| 1.0 / (1.0 + (-x[l].get()).exp())),
+                    FUn::Abs => each(o, w, |l| x[l].get().abs()),
+                    FUn::Recip => each(o, w, |l| 1.0 / x[l].get()),
                 }
             }
             Op::Bin(op2, d, a, bb) => {
-                let x = f[a as usize];
-                let y = f[bb as usize];
-                let o = &mut f[d as usize];
+                let x = &f[a as usize];
+                let y = &f[bb as usize];
+                let o = &f[d as usize];
                 match op2 {
-                    FBin::Add => {
-                        for l in 0..W {
-                            o[l] = x[l] + y[l];
-                        }
-                    }
-                    FBin::Sub => {
-                        for l in 0..W {
-                            o[l] = x[l] - y[l];
-                        }
-                    }
-                    FBin::Mul => {
-                        for l in 0..W {
-                            o[l] = x[l] * y[l];
-                        }
-                    }
-                    FBin::Div => {
-                        for l in 0..W {
-                            o[l] = x[l] / y[l];
-                        }
-                    }
-                    FBin::Pow => {
-                        for l in 0..W {
-                            o[l] = x[l].powf(y[l]);
-                        }
-                    }
-                    FBin::Min => {
-                        for l in 0..W {
-                            o[l] = x[l].min(y[l]);
-                        }
-                    }
-                    FBin::Max => {
-                        for l in 0..W {
-                            o[l] = x[l].max(y[l]);
-                        }
-                    }
-                    FBin::Rem => {
-                        for l in 0..W {
-                            o[l] = x[l] % y[l];
-                        }
-                    }
+                    FBin::Add => each(o, w, |l| x[l].get() + y[l].get()),
+                    FBin::Sub => each(o, w, |l| x[l].get() - y[l].get()),
+                    FBin::Mul => each(o, w, |l| x[l].get() * y[l].get()),
+                    FBin::Div => each(o, w, |l| x[l].get() / y[l].get()),
+                    FBin::Pow => each(o, w, |l| x[l].get().powf(y[l].get())),
+                    FBin::Min => each(o, w, |l| x[l].get().min(y[l].get())),
+                    FBin::Max => each(o, w, |l| x[l].get().max(y[l].get())),
+                    FBin::Rem => each(o, w, |l| x[l].get() % y[l].get()),
                 }
             }
             Op::Cmp(c, d, a, bb) => {
-                let x = f[a as usize];
-                let y = f[bb as usize];
-                let o = &mut b[d as usize];
+                let x = &f[a as usize];
+                let y = &f[bb as usize];
+                let o = &b[d as usize];
                 match c {
-                    FCmp::Eq => {
-                        for l in 0..W {
-                            o[l] = x[l] == y[l];
-                        }
-                    }
-                    FCmp::Neq => {
-                        for l in 0..W {
-                            o[l] = x[l] != y[l];
-                        }
-                    }
-                    FCmp::Lt => {
-                        for l in 0..W {
-                            o[l] = x[l] < y[l];
-                        }
-                    }
-                    FCmp::Le => {
-                        for l in 0..W {
-                            o[l] = x[l] <= y[l];
-                        }
-                    }
-                    FCmp::Gt => {
-                        for l in 0..W {
-                            o[l] = x[l] > y[l];
-                        }
-                    }
-                    FCmp::Ge => {
-                        for l in 0..W {
-                            o[l] = x[l] >= y[l];
-                        }
-                    }
+                    FCmp::Eq => each(o, w, |l| x[l].get() == y[l].get()),
+                    FCmp::Neq => each(o, w, |l| x[l].get() != y[l].get()),
+                    FCmp::Lt => each(o, w, |l| x[l].get() < y[l].get()),
+                    FCmp::Le => each(o, w, |l| x[l].get() <= y[l].get()),
+                    FCmp::Gt => each(o, w, |l| x[l].get() > y[l].get()),
+                    FCmp::Ge => each(o, w, |l| x[l].get() >= y[l].get()),
                 }
             }
             Op::BoolBin(c, d, a, bb) => {
-                let x = b[a as usize];
-                let y = b[bb as usize];
-                let o = &mut b[d as usize];
+                let x = &b[a as usize];
+                let y = &b[bb as usize];
+                let o = &b[d as usize];
                 match c {
-                    BBin::And => {
-                        for l in 0..W {
-                            o[l] = x[l] && y[l];
-                        }
-                    }
-                    BBin::Or => {
-                        for l in 0..W {
-                            o[l] = x[l] || y[l];
-                        }
-                    }
-                    BBin::Eq => {
-                        for l in 0..W {
-                            o[l] = x[l] == y[l];
-                        }
-                    }
-                    BBin::Neq => {
-                        for l in 0..W {
-                            o[l] = x[l] != y[l];
-                        }
-                    }
+                    BBin::And => each(o, w, |l| x[l].get() && y[l].get()),
+                    BBin::Or => each(o, w, |l| x[l].get() || y[l].get()),
+                    BBin::Eq => each(o, w, |l| x[l].get() == y[l].get()),
+                    BBin::Neq => each(o, w, |l| x[l].get() != y[l].get()),
                 }
             }
             Op::Not(d, a) => {
-                let x = b[a as usize];
-                let o = &mut b[d as usize];
-                for l in 0..W {
-                    o[l] = !x[l];
-                }
+                let x = &b[a as usize];
+                let o = &b[d as usize];
+                each(o, w, |l| !x[l].get());
             }
             Op::Sel(d, c, t, e) => {
-                let cc = b[c as usize];
-                let tv = f[t as usize];
-                let ev = f[e as usize];
-                let o = &mut f[d as usize];
-                for l in 0..W {
-                    o[l] = if cc[l] { tv[l] } else { ev[l] };
-                }
+                let cc = &b[c as usize];
+                let tv = &f[t as usize];
+                let ev = &f[e as usize];
+                let o = &f[d as usize];
+                each(o, w, |l| {
+                    if cc[l].get() {
+                        tv[l].get()
+                    } else {
+                        ev[l].get()
+                    }
+                });
             }
             Op::SelB(d, c, t, e) => {
-                let cc = b[c as usize];
-                let tv = b[t as usize];
-                let ev = b[e as usize];
-                let o = &mut b[d as usize];
-                for l in 0..W {
-                    o[l] = if cc[l] { tv[l] } else { ev[l] };
-                }
+                let cc = &b[c as usize];
+                let tv = &b[t as usize];
+                let ev = &b[e as usize];
+                let o = &b[d as usize];
+                each(o, w, |l| {
+                    if cc[l].get() {
+                        tv[l].get()
+                    } else {
+                        ev[l].get()
+                    }
+                });
             }
             Op::IntUn(u, d, a) => {
-                let x = ii[a as usize];
-                let o = &mut ii[d as usize];
+                let x = &ii[a as usize];
+                let o = &ii[d as usize];
                 match u {
-                    IUn::Neg => {
-                        for l in 0..W {
-                            o[l] = -x[l];
-                        }
-                    }
-                    IUn::Abs => {
-                        for l in 0..W {
-                            o[l] = x[l].abs();
-                        }
-                    }
+                    IUn::Neg => each(o, w, |l| -x[l].get()),
+                    IUn::Abs => each(o, w, |l| x[l].get().abs()),
                 }
             }
             Op::IntBin(op2, d, a, bb) => {
-                let x = ii[a as usize];
-                let y = ii[bb as usize];
-                let o = &mut ii[d as usize];
+                let x = &ii[a as usize];
+                let y = &ii[bb as usize];
+                let o = &ii[d as usize];
                 match op2 {
-                    IBin::Add => {
-                        for l in 0..W {
-                            o[l] = x[l] + y[l];
-                        }
-                    }
-                    IBin::Sub => {
-                        for l in 0..W {
-                            o[l] = x[l] - y[l];
-                        }
-                    }
-                    IBin::Mul => {
-                        for l in 0..W {
-                            o[l] = x[l] * y[l];
-                        }
-                    }
-                    IBin::Div => {
-                        for l in 0..W {
-                            o[l] = x[l] / y[l];
-                        }
-                    }
-                    IBin::Pow => {
-                        for l in 0..W {
-                            o[l] = x[l].pow(y[l].max(0) as u32);
-                        }
-                    }
-                    IBin::Min => {
-                        for l in 0..W {
-                            o[l] = x[l].min(y[l]);
-                        }
-                    }
-                    IBin::Max => {
-                        for l in 0..W {
-                            o[l] = x[l].max(y[l]);
-                        }
-                    }
-                    IBin::Rem => {
-                        for l in 0..W {
-                            o[l] = x[l] % y[l];
-                        }
-                    }
+                    IBin::Add => each(o, w, |l| x[l].get() + y[l].get()),
+                    IBin::Sub => each(o, w, |l| x[l].get() - y[l].get()),
+                    IBin::Mul => each(o, w, |l| x[l].get() * y[l].get()),
+                    IBin::Div => each(o, w, |l| x[l].get() / y[l].get()),
+                    IBin::Pow => each(o, w, |l| x[l].get().pow(y[l].get().max(0) as u32)),
+                    IBin::Min => each(o, w, |l| x[l].get().min(y[l].get())),
+                    IBin::Max => each(o, w, |l| x[l].get().max(y[l].get())),
+                    IBin::Rem => each(o, w, |l| x[l].get() % y[l].get()),
                 }
             }
             Op::IntCmp(c, d, a, bb) => {
-                let x = ii[a as usize];
-                let y = ii[bb as usize];
-                let o = &mut b[d as usize];
+                let x = &ii[a as usize];
+                let y = &ii[bb as usize];
+                let o = &b[d as usize];
                 match c {
-                    ICmp::Eq => {
-                        for l in 0..W {
-                            o[l] = x[l] == y[l];
-                        }
-                    }
-                    ICmp::Neq => {
-                        for l in 0..W {
-                            o[l] = x[l] != y[l];
-                        }
-                    }
-                    ICmp::Lt => {
-                        for l in 0..W {
-                            o[l] = x[l] < y[l];
-                        }
-                    }
-                    ICmp::Le => {
-                        for l in 0..W {
-                            o[l] = x[l] <= y[l];
-                        }
-                    }
-                    ICmp::Gt => {
-                        for l in 0..W {
-                            o[l] = x[l] > y[l];
-                        }
-                    }
-                    ICmp::Ge => {
-                        for l in 0..W {
-                            o[l] = x[l] >= y[l];
-                        }
-                    }
+                    ICmp::Eq => each(o, w, |l| x[l].get() == y[l].get()),
+                    ICmp::Neq => each(o, w, |l| x[l].get() != y[l].get()),
+                    ICmp::Lt => each(o, w, |l| x[l].get() < y[l].get()),
+                    ICmp::Le => each(o, w, |l| x[l].get() <= y[l].get()),
+                    ICmp::Gt => each(o, w, |l| x[l].get() > y[l].get()),
+                    ICmp::Ge => each(o, w, |l| x[l].get() >= y[l].get()),
                 }
             }
             Op::SelI(d, c, t, e) => {
-                let cc = b[c as usize];
-                let tv = ii[t as usize];
-                let ev = ii[e as usize];
-                let o = &mut ii[d as usize];
-                for l in 0..W {
-                    o[l] = if cc[l] { tv[l] } else { ev[l] };
-                }
+                let cc = &b[c as usize];
+                let tv = &ii[t as usize];
+                let ev = &ii[e as usize];
+                let o = &ii[d as usize];
+                each(o, w, |l| {
+                    if cc[l].get() {
+                        tv[l].get()
+                    } else {
+                        ev[l].get()
+                    }
+                });
             }
             Op::CastF(d, s) => {
-                let x = ii[s as usize];
-                let o = &mut f[d as usize];
-                for l in 0..W {
-                    o[l] = x[l] as f64;
-                }
+                let x = &ii[s as usize];
+                let o = &f[d as usize];
+                each(o, w, |l| x[l].get() as f64);
             }
             Op::CastI(d, s) => {
-                let x = f[s as usize];
-                let o = &mut ii[d as usize];
-                for l in 0..W {
-                    o[l] = x[l] as i64;
-                }
+                let x = &f[s as usize];
+                let o = &ii[d as usize];
+                each(o, w, |l| x[l].get() as i64);
             }
             Op::IndexF(d, a, s) => {
                 let t = arrs.get(a);
-                let x = ii[s as usize];
-                let o = &mut f[d as usize];
-                for l in 0..W {
-                    let i = x[l];
+                let x = &ii[s as usize];
+                let o = &f[d as usize];
+                for l in 0..w {
+                    let i = x[l].get();
                     assert!(i >= 0, "negative index {i}");
                     let u = i as usize;
                     assert!(u < t.d0, "index {u} out of bounds for dim of size {}", t.d0);
-                    o[l] = t.data[u];
+                    o[l].set(t.data[u]);
                 }
             }
             Op::Index2F(d, a, s0, s1) => {
                 let t = arrs.get(a);
-                let x0 = ii[s0 as usize];
-                let x1 = ii[s1 as usize];
-                let o = &mut f[d as usize];
-                for l in 0..W {
-                    let (i0, i1) = (x0[l], x1[l]);
+                let x0 = &ii[s0 as usize];
+                let x1 = &ii[s1 as usize];
+                let o = &f[d as usize];
+                for l in 0..w {
+                    let (i0, i1) = (x0[l].get(), x1[l].get());
                     // The VM converts every index (rejecting negatives)
                     // before walking the dims; keep its panic order.
                     assert!(i0 >= 0, "negative index {i0}");
@@ -609,67 +539,52 @@ fn run_ops<const W: usize>(
                         "index {u1} out of bounds for dim of size {}",
                         t.d1
                     );
-                    o[l] = t.data[u0 * t.d1 + u1];
+                    o[l].set(t.data[u0 * t.d1 + u1]);
                 }
             }
             Op::LenA(d, a) => {
-                ii[d as usize] = [arrs.get(a).d0 as i64; W];
+                let len = arrs.get(a).d0 as i64;
+                each(&ii[d as usize], w, |_| len);
             }
-            // Scatter-adds call `Accum::add_at` directly: same negative-index
-            // panic as `read_usizes`, same silent out-of-bounds skip, same
-            // zero-skipping CAS add as the generic `UpdAcc`. Tapes with these
-            // ops run at `W = 1` (see `map_chunk`), so lane order is element
-            // order and adds land exactly as the generic per-element loop.
+            // Scatter-adds go to the accumulator's cells directly: same
+            // negative-index panic as `read_usizes`, same silent out-of-bounds
+            // skip, same zero-skipping add as the generic `UpdAcc` (CAS on a
+            // shared strand, load–add–store on an owned one). Tapes with
+            // these ops run at `W = 1` (see `map_chunk`), so lane order is
+            // element order and adds land exactly as the generic per-element
+            // loop.
             Op::UpdAcc1(c, i_src, v) => {
-                let acc = accs[c as usize].expect("accumulator slot bound at dispatch");
-                let x = ii[i_src as usize];
-                let vals = f[v as usize];
-                for l in 0..W {
-                    let i = x[l];
-                    assert!(i >= 0, "negative index {i}");
-                    let idx = [i as usize];
-                    if acc.in_bounds(&idx) {
-                        let (off, _) = acc.offset_of(&idx);
-                        acc.add_at(off, vals[l]);
-                    }
+                let x = &ii[i_src as usize];
+                let vals = &f[v as usize];
+                for l in 0..w {
+                    assert!(x[l].get() >= 0, "negative index {}", x[l].get());
+                    accs.add_at(c, &[x[l].get() as usize], vals[l].get());
                 }
             }
             Op::UpdAcc2(c, s0, s1, v) => {
-                let acc = accs[c as usize].expect("accumulator slot bound at dispatch");
-                let x0 = ii[s0 as usize];
-                let x1 = ii[s1 as usize];
-                let vals = f[v as usize];
-                for l in 0..W {
-                    let (i0, i1) = (x0[l], x1[l]);
+                let x0 = &ii[s0 as usize];
+                let x1 = &ii[s1 as usize];
+                let vals = &f[v as usize];
+                for l in 0..w {
+                    let (i0, i1) = (x0[l].get(), x1[l].get());
                     assert!(i0 >= 0, "negative index {i0}");
                     assert!(i1 >= 0, "negative index {i1}");
-                    let idx = [i0 as usize, i1 as usize];
-                    if acc.in_bounds(&idx) {
-                        let (off, _) = acc.offset_of(&idx);
-                        acc.add_at(off, vals[l]);
-                    }
+                    accs.add_at(c, &[i0 as usize, i1 as usize], vals[l].get());
                 }
             }
-            // Whole-row adds: `Accum::add_slice` from the row's offset, like
-            // the generic `UpdAcc` with an array value (same bounds skip, same
-            // per-cell zero-skipping CAS add, in cell order).
+            // Whole-row adds: one slice add from the row's offset, like the
+            // generic `UpdAcc` with an array value (same bounds skip, same
+            // extent check, same per-cell zero-skipping add in cell order).
             Op::UpdAccRow(c, a) => {
-                let acc = accs[c as usize].expect("accumulator slot bound at dispatch");
-                let row = arrs.get(a).data;
-                for _ in 0..W {
-                    acc.add_slice(0, row);
+                for _ in 0..w {
+                    accs.add_slice(c, &[], arrs.get(a).data);
                 }
             }
             Op::UpdAccRow1(c, i_src, a) => {
-                let acc = accs[c as usize].expect("accumulator slot bound at dispatch");
-                let row = arrs.get(a).data;
-                for i in ii[i_src as usize] {
+                for i in &ii[i_src as usize][..w] {
+                    let i = i.get();
                     assert!(i >= 0, "negative index {i}");
-                    let idx = [i as usize];
-                    if acc.in_bounds(&idx) {
-                        let (off, _) = acc.offset_of(&idx);
-                        acc.add_slice(off, row);
-                    }
+                    accs.add_slice(c, &[i as usize], arrs.get(a).data);
                 }
             }
         }
@@ -681,21 +596,72 @@ fn run_ops<const W: usize>(
 /// arrays, sized at lowering time). Regions are scalar-only — admission
 /// rejects tapes with `i64` or array registers.
 #[inline]
-pub(crate) fn run_region_ops(ops: &[Op], f: &mut [[f64; 1]], b: &mut [[bool; 1]]) {
+pub(crate) fn run_region_ops(ops: &[Op], f: &mut [f64], b: &mut [bool]) {
     let none = Views {
         ext: &[],
         temps: &[],
     };
-    let end = run_ops::<1>(ops, 0, f, b, &mut [], none, &[]);
+    let lanes = Lanes {
+        f: cells(f),
+        b: cells(b),
+        i: &[],
+    };
+    let end = run_ops::<1>(ops, 0, lanes, 1, none, Accs::NONE);
     debug_assert_eq!(end, ops.len(), "regions are straight-line scalar code");
 }
 
-/// One set of `W`-lane register files.
+/// One set of register files, flat: whoever loads them ([`Call::load`])
+/// picks the lane width `W`, and register `r` is then `[r·W .. (r+1)·W]`.
+/// They only grow, and nothing clears them between dispatches: a register
+/// is never read before it is written, except the constants and captures
+/// `load` writes and the inputs the block loop writes.
 #[derive(Default)]
-struct Files<const W: usize> {
-    f: Vec<[f64; W]>,
-    b: Vec<[bool; W]>,
-    i: Vec<[i64; W]>,
+struct Files {
+    f: Vec<f64>,
+    b: Vec<bool>,
+    i: Vec<i64>,
+}
+
+/// Register files as `run_ops` sees them at lane width `W`: cells, so that
+/// an op borrows its source and destination registers — which may be the
+/// same one — side by side instead of copying `W` lanes of each operand.
+#[derive(Clone, Copy)]
+struct Lanes<'f, const W: usize> {
+    f: &'f [[Cell<f64>; W]],
+    b: &'f [[Cell<bool>; W]],
+    i: &'f [[Cell<i64>; W]],
+}
+
+/// A flat register file as `W`-lane registers of cells.
+fn cells<T, const W: usize>(file: &mut [T]) -> &[[Cell<T>; W]] {
+    Cell::from_mut(file).as_slice_of_cells().as_chunks().0
+}
+
+/// Where the first `w` lanes of register `r` are in a flat file at lane
+/// width `W`.
+#[inline]
+fn span<const W: usize>(r: u16, w: usize) -> std::ops::Range<usize> {
+    r as usize * W..r as usize * W + w
+}
+
+/// Grow `file` to `regs` registers of `W` lanes, with room for [`B`] lanes
+/// of each: a depth whose first tape is serial does not allocate again for
+/// a block tape of as many registers.
+fn fit<T: Clone, const W: usize>(file: &mut Vec<T>, regs: usize, zero: T) {
+    if file.len() < regs * W {
+        file.reserve(regs * B - file.len());
+        file.resize(regs * W, zero);
+    }
+}
+
+impl Files {
+    fn lanes<const W: usize>(&mut self) -> Lanes<'_, W> {
+        Lanes {
+            f: cells(&mut self.f),
+            b: cells(&mut self.b),
+            i: cells(&mut self.i),
+        }
+    }
 }
 
 /// One collected result column: the flat row-major data and, for a row
@@ -748,13 +714,17 @@ fn irregular(i: usize, len: usize, first: usize, first_len: usize) -> ! {
 /// tape running here run in `inner`.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// 4-lane files of a map tape (loaded only for chunks of ≥ 4 elements).
-    wide: Files<4>,
-    /// 1-lane files: a map tape's tail or a serial map tape, or a
-    /// reduce/scan operator.
-    one: Files<1>,
-    /// The reduce tape of a redomap (its map tape holds the other two).
-    red: Files<1>,
+    /// Whether this strand is one of several chunks running concurrently,
+    /// so that its accumulator adds must be atomic. Decided where the
+    /// strand is created and nowhere else: [`Scratch::shared`] in the arm
+    /// of a parallel SOAC, `default()` for a `run_program`; the scratch of
+    /// the next nest depth inherits it.
+    pub(crate) shared: bool,
+    /// The files of a map tape ([`B`] lanes, or 1 for a serial tape) or of
+    /// a reduce/scan operator (1 lane).
+    files: Files,
+    /// The reduce tape of a redomap (its map tape runs in `files`).
+    red: Files,
     /// Fold state: the running accumulator (a fold's result) and the
     /// element tuple fed to the operator.
     acc: Vec<f64>,
@@ -765,6 +735,16 @@ pub(crate) struct Scratch {
     /// by array slot.
     temps: Vec<Vec<f64>>,
     inner: Option<Box<Scratch>>,
+}
+
+impl Scratch {
+    /// The scratch of one chunk of a parallel SOAC.
+    pub(crate) fn shared() -> Scratch {
+        Scratch {
+            shared: true,
+            ..Scratch::default()
+        }
+    }
 }
 
 /// One kernel's side of a dispatch: its tape and what it borrows from its
@@ -832,70 +812,86 @@ impl<'a, S: Operands<'a>> Call<'a, S> {
         Some(call)
     }
 
-    /// Reset `files` to the tape's template (constants preloaded) and
-    /// broadcast the scalar captures into their registers.
-    fn load<const W: usize>(&self, files: &mut Files<W>) {
+    /// Size `files` for the tape at lane width `W`, then write its
+    /// constants and broadcast the scalar captures over the first `w` lanes
+    /// — all this dispatch can use — and nothing else (see [`Files`]).
+    fn load<const W: usize>(&self, files: &mut Files, w: usize) {
         let t = &self.k.tape;
-        files.f.clear();
-        files.f.extend(t.f_init.iter().map(|&x| [x; W]));
-        files.b.clear();
-        files.b.extend(t.b_init.iter().map(|&x| [x; W]));
-        files.i.clear();
-        files.i.extend(t.i_init.iter().map(|&x| [x; W]));
+        fit::<_, W>(&mut files.f, t.f_init.len(), 0.0);
+        fit::<_, W>(&mut files.b, t.b_init.len(), false);
+        fit::<_, W>(&mut files.i, t.i_init.len(), 0);
+        let Files { f, b, i } = files;
+        for &r in &t.f_consts {
+            f[span::<W>(r, w)].fill(t.f_init[r as usize]);
+        }
+        for &r in &t.b_consts {
+            b[span::<W>(r, w)].fill(t.b_init[r as usize]);
+        }
+        for &r in &t.i_consts {
+            i[span::<W>(r, w)].fill(t.i_init[r as usize]);
+        }
         for (slot, r) in t.inputs[self.k.num_params..].iter().zip(self.captures) {
             match (*slot, self.src.get(*r)) {
-                (Some((Cls::F, t)), Arg::F(x)) => files.f[t as usize] = [x; W],
-                (Some((Cls::B, t)), Arg::B(x)) => files.b[t as usize] = [x; W],
-                (Some((Cls::I, t)), Arg::I(x)) => files.i[t as usize] = [x; W],
+                (Some((Cls::F, t)), Arg::F(x)) => f[span::<W>(t, w)].fill(x),
+                (Some((Cls::B, t)), Arg::B(x)) => b[span::<W>(t, w)].fill(x),
+                (Some((Cls::I, t)), Arg::I(x)) => i[span::<W>(t, w)].fill(x),
                 _ => {} // dead, or bound in a table
             }
         }
     }
 
-    /// Run a tape that is not serial (a 4-lane block of a map, a fold
-    /// operator): registers and the views bound at dispatch are all it
-    /// touches.
-    fn run<const W: usize>(&self, files: &mut Files<W>) {
+    /// Run `w` live lanes of a tape that is not serial (a block of a map,
+    /// a fold operator): registers and the views bound at dispatch are all
+    /// it touches.
+    fn run<const W: usize>(&self, files: &mut Files, w: usize) {
         let tape = &self.k.tape;
         let arrs = Views {
             ext: &self.tables,
             temps: &[],
         };
-        let (f, b, i) = (&mut files.f, &mut files.b, &mut files.i);
-        let end = run_ops::<W>(&tape.ops, 0, f, b, i, arrs, &self.accs);
+        let end = run_ops::<W>(&tape.ops, 0, files.lanes(), w, arrs, Accs::NONE);
         debug_assert_eq!(end, tape.ops.len(), "a serial tape outside `run_one`");
     }
 
     /// Run the tape for one element at lane width 1: `tables` are this
     /// element's views (row slots re-pointed), `temps` the tape's local
-    /// temporaries, `inner` the scratch of the next nest depth. Scalar runs
-    /// go through `run_ops`; in between, an inner SOAC dispatches through
-    /// the same entry points as one from a frame, and `replicate` fills a
-    /// temporary.
+    /// temporaries, `inner` the scratch of the next nest depth (created
+    /// as `shared` as this strand is). Scalar runs go through `run_ops`;
+    /// in between, an inner SOAC dispatches through the same entry points
+    /// as one from a frame, and `replicate` fills a temporary.
     fn run_one(
         &self,
         tables: &[Table; MAX_TABLES],
-        files: &mut Files<1>,
+        files: &mut Files,
         temps: &mut [Vec<f64>],
         inner: &mut Option<Box<Scratch>>,
+        shared: bool,
     ) {
         let tape = &self.k.tape;
+        let accs = Accs {
+            slots: &self.accs,
+            shared,
+        };
         let mut pc = 0;
         loop {
             let arrs = Views { ext: tables, temps };
-            let (f, b, i) = (&mut files.f, &mut files.b, &mut files.i);
-            pc = run_ops::<1>(&tape.ops, pc, f, b, i, arrs, &self.accs);
+            pc = run_ops::<1>(&tape.ops, pc, files.lanes(), 1, arrs, accs);
             match tape.ops.get(pc) {
                 None => return,
                 Some(&Op::Inner(j)) => {
-                    let child = inner.get_or_insert_with(Default::default);
+                    let child = inner.get_or_insert_with(|| {
+                        Box::new(Scratch {
+                            shared,
+                            ..Scratch::default()
+                        })
+                    });
                     self.run_inner(&tape.inner[j as usize], tables, files, temps, child);
                 }
                 Some(&Op::Replicate(a, n, x)) => {
-                    let n = files.i[n as usize][0].max(0) as usize;
+                    let n = files.i[n as usize].max(0) as usize;
                     let t = &mut temps[(a & !LOCAL) as usize];
                     t.clear();
-                    t.resize(n, files.f[x as usize][0]);
+                    t.resize(n, files.f[x as usize]);
                 }
                 Some(op) => unreachable!("run_ops stopped at {op:?}"),
             }
@@ -969,7 +965,7 @@ impl<'a, S: Operands<'a>> Call<'a, S> {
         &self,
         op: &InnerOp,
         tables: &[Table; MAX_TABLES],
-        files: &mut Files<1>,
+        files: &mut Files,
         temps: &mut [Vec<f64>],
         child: &mut Scratch,
     ) {
@@ -977,7 +973,7 @@ impl<'a, S: Operands<'a>> Call<'a, S> {
             tape: &'e Tape,
             tables: &'e [Table<'e>],
             accs: &'e [Option<&'e Accum>],
-            files: &'e Files<1>,
+            files: &'e Files,
             temps: &'e [Vec<f64>],
         ) -> Regs<'e> {
             Regs {
@@ -987,10 +983,10 @@ impl<'a, S: Operands<'a>> Call<'a, S> {
                 accs,
             }
         }
-        fn neutral(files: &Files<1>, regs: &[u16]) -> [f64; MAX_STREAMS] {
+        fn neutral(files: &Files, regs: &[u16]) -> [f64; MAX_STREAMS] {
             let mut ne = [0.0; MAX_STREAMS];
             for (x, r) in ne.iter_mut().zip(regs) {
-                *x = files.f[*r as usize][0];
+                *x = files.f[*r as usize];
             }
             ne
         }
@@ -1025,7 +1021,7 @@ impl<'a, S: Operands<'a>> Call<'a, S> {
                 let src = regs(tape, tables, accs, files, temps);
                 reduce_into(k, cfg, src, ne, args, captures, child).unwrap_or_else(ragged);
                 for (d, x) in dsts.iter().zip(&child.acc) {
-                    files.f[*d as usize][0] = *x;
+                    files.f[*d as usize] = *x;
                 }
             }
             InnerOp::Redomap {
@@ -1052,7 +1048,7 @@ impl<'a, S: Operands<'a>> Call<'a, S> {
                 )
                 .unwrap_or_else(ragged);
                 for (d, x) in dsts.iter().zip(&child.acc) {
-                    files.f[*d as usize][0] = *x;
+                    files.f[*d as usize] = *x;
                 }
             }
         }
@@ -1075,13 +1071,15 @@ fn neutral_f64(regs: &[Value], neutral: &[Opnd]) -> Option<[f64; MAX_STREAMS]> {
     Some(ne)
 }
 
-/// Load one 4-lane block of every element stream into its parameter slot.
+/// Load elements `i..i + w` of every stream into the first `w` lanes of
+/// its parameter slot.
 #[inline]
-fn load_block4(tape: &Tape, files: &mut Files<4>, args: &[Stream], i: usize) {
+fn load_block(tape: &Tape, files: &mut Files, args: &[Stream], i: usize, w: usize) {
+    let Files { f, i: ii, .. } = files;
     for (p, s) in args.iter().enumerate() {
         match (tape.inputs[p], s) {
-            (Some((Cls::F, r)), Stream::F(a)) => files.f[r as usize].copy_from_slice(&a[i..i + 4]),
-            (Some((Cls::I, r)), Stream::I(a)) => files.i[r as usize].copy_from_slice(&a[i..i + 4]),
+            (Some((Cls::F, r)), Stream::F(a)) => f[span::<B>(r, w)].copy_from_slice(&a[i..i + w]),
+            (Some((Cls::I, r)), Stream::I(a)) => ii[span::<B>(r, w)].copy_from_slice(&a[i..i + w]),
             (Some((Cls::C, _)), Stream::Acc) | (None, _) => {}
             _ => unreachable!("stream class checked at dispatch"),
         }
@@ -1093,15 +1091,15 @@ fn load_block4(tape: &Tape, files: &mut Files<4>, args: &[Stream], i: usize) {
 #[inline]
 fn load_one<'a>(
     tape: &Tape,
-    files: &mut Files<1>,
+    files: &mut Files,
     tables: &mut [Table<'a>; MAX_TABLES],
     args: &[Stream<'a>],
     i: usize,
 ) {
     for (p, s) in args.iter().enumerate() {
         match (tape.inputs[p], s) {
-            (Some((Cls::F, r)), Stream::F(a)) => files.f[r as usize][0] = a[i],
-            (Some((Cls::I, r)), Stream::I(a)) => files.i[r as usize][0] = a[i],
+            (Some((Cls::F, r)), Stream::F(a)) => files.f[r as usize] = a[i],
+            (Some((Cls::I, r)), Stream::I(a)) => files.i[r as usize] = a[i],
             (Some((Cls::A, a)), Stream::Rows { data, d1 }) => {
                 tables[a as usize] = Table::rank1(&data[i * d1..(i + 1) * d1])
             }
@@ -1119,10 +1117,10 @@ fn size_temps(temps: &mut Vec<Vec<f64>>, tape: &Tape) {
 }
 
 /// Elements `lo..hi` of a `map`, leaving one flat buffer per float or row
-/// result in `s.cols`: 4-lane blocks with a 1-lane tail, or every element
-/// at lane width 1 for a serial tape (so that scatter-adds land in the
-/// generic per-element order, and rows and temporaries are per element).
-/// Each register file is loaded only if the chunk uses it.
+/// result in `s.cols`: blocks of up to [`B`] live lanes — as wide as what
+/// is left of the stream, so there is no tail — or, for a serial tape,
+/// every element at lane width 1 (so that scatter-adds land in the generic
+/// per-element order, and rows and temporaries are per element).
 fn map_chunk<'a, S: Operands<'a>>(
     call: &Call<'a, S>,
     args: &[Stream<'a>],
@@ -1132,8 +1130,8 @@ fn map_chunk<'a, S: Operands<'a>>(
 ) {
     let k = call.k;
     let Scratch {
-        wide,
-        one,
+        shared,
+        files,
         cols,
         temps,
         inner,
@@ -1153,41 +1151,40 @@ fn map_chunk<'a, S: Operands<'a>>(
             Col::Row(_) => col.data.clear(),
         }
     }
-    let mut i = lo;
-    if !k.tape.serial && hi - lo >= 4 {
-        call.load(wide);
-        while i + 4 <= hi {
-            load_block4(&k.tape, wide, args, i);
-            call.run(wide);
+    if !k.tape.serial {
+        call.load::<B>(files, (hi - lo).min(B));
+        let mut i = lo;
+        while i < hi {
+            let w = (hi - i).min(B);
+            load_block(&k.tape, files, args, i, w);
+            call.run::<B>(files, w);
             for (col, c) in cols.iter_mut().zip(&k.cols) {
                 let Col::F(r) = *c else {
                     unreachable!("a row result makes the tape serial")
                 };
-                col.data.extend_from_slice(&wide.f[r as usize]);
+                col.data.extend_from_slice(&files.f[span::<B>(r, w)]);
             }
-            i += 4;
+            i += w;
         }
+        return;
     }
-    if i < hi {
-        call.load(one);
-        size_temps(temps, &k.tape);
-        let mut tables = call.tables;
-        while i < hi {
-            load_one(&k.tape, one, &mut tables, args, i);
-            call.run_one(&tables, one, temps, inner);
-            for (col, c) in cols.iter_mut().zip(&k.cols) {
-                match *c {
-                    Col::F(r) => col.data.push(one.f[r as usize][0]),
-                    Col::Row(a) => {
-                        let arrs = Views {
-                            ext: &tables,
-                            temps,
-                        };
-                        col.push_row(arrs.get(a).data, i, lo, hi, S::PUBLISH);
-                    }
+    call.load::<1>(files, 1);
+    size_temps(temps, &k.tape);
+    let mut tables = call.tables;
+    for i in lo..hi {
+        load_one(&k.tape, files, &mut tables, args, i);
+        call.run_one(&tables, files, temps, inner, *shared);
+        for (col, c) in cols.iter_mut().zip(&k.cols) {
+            match *c {
+                Col::F(r) => col.data.push(files.f[r as usize]),
+                Col::Row(a) => {
+                    let arrs = Views {
+                        ext: &tables,
+                        temps,
+                    };
+                    col.push_row(arrs.get(a).data, i, lo, hi, S::PUBLISH);
                 }
             }
-            i += 1;
         }
     }
 }
@@ -1212,7 +1209,7 @@ fn map_into<'a, S: Operands<'a>>(
         return Some(n);
     }
     let mut chunks = run_chunked(cfg, n, &|lo, hi| {
-        let mut c = Scratch::default();
+        let mut c = Scratch::shared();
         map_chunk(&call, streams, lo, hi, &mut c);
         (lo, c.cols)
     });
@@ -1289,9 +1286,9 @@ pub(crate) fn map(
 
 /// Write one fold input into a `W = 1` frame (skipping dead slots).
 #[inline]
-fn set_in1(tape: &Tape, files: &mut Files<1>, slot: usize, x: f64) {
+fn set_in1(tape: &Tape, files: &mut Files, slot: usize, x: f64) {
     if let Some((Cls::F, r)) = tape.inputs[slot] {
-        files.f[r as usize][0] = x;
+        files.f[r as usize] = x;
     }
 }
 
@@ -1301,7 +1298,7 @@ fn set_in1(tape: &Tape, files: &mut Files<1>, slot: usize, x: f64) {
 #[inline]
 fn fold_step<'a, S: Operands<'a>>(
     call: &Call<'a, S>,
-    files: &mut Files<1>,
+    files: &mut Files,
     acc: &mut [f64],
     elems: &[f64],
 ) {
@@ -1317,9 +1314,9 @@ fn fold_step<'a, S: Operands<'a>>(
     for (j, x) in elems.iter().enumerate() {
         set_in1(tape, files, width + j, *x);
     }
-    call.run(files);
+    call.run::<1>(files, 1);
     for (a, &(_, r)) in acc.iter_mut().zip(&tape.rets) {
-        *a = files.f[r as usize][0];
+        *a = files.f[r as usize];
     }
 }
 
@@ -1327,14 +1324,14 @@ fn fold_step<'a, S: Operands<'a>>(
 /// files loaded (a native fold has none to load).
 fn fold_start<'a, S: Operands<'a>>(
     call: &Call<'a, S>,
-    files: &mut Files<1>,
+    files: &mut Files,
     ne: &[f64],
     acc: &mut Vec<f64>,
 ) {
     acc.clear();
     acc.extend_from_slice(ne);
     if call.k.native.is_none() {
-        call.load(files);
+        call.load::<1>(files, 1);
     }
 }
 
@@ -1343,7 +1340,7 @@ fn fold_start<'a, S: Operands<'a>>(
 /// (including the single-partial shortcut).
 fn combine_partials<'a, S: Operands<'a>>(
     call: &Call<'a, S>,
-    files: &mut Files<1>,
+    files: &mut Files,
     ne: &[f64],
     mut partials: Vec<Vec<f64>>,
     acc: &mut Vec<f64>,
@@ -1368,21 +1365,21 @@ fn reduce_chunk<'a, S: Operands<'a>>(
     s: &mut Scratch,
 ) {
     let Scratch {
-        one, acc, elems, ..
+        files, acc, elems, ..
     } = s;
     if let (Some(native), [ne], [arr]) = (call.k.native, ne, arrs) {
         acc.clear();
         acc.push(native.fold(*ne, &arr[lo..hi]));
         return;
     }
-    fold_start(call, one, ne, acc);
+    fold_start(call, files, ne, acc);
     elems.clear();
     elems.resize(arrs.len(), 0.0);
     for i in lo..hi {
         for (x, arr) in elems.iter_mut().zip(arrs) {
             *x = arr[i];
         }
-        fold_step(call, one, acc, elems);
+        fold_step(call, files, acc, elems);
     }
 }
 
@@ -1404,11 +1401,11 @@ fn reduce_into<'a, S: Operands<'a>>(
         reduce_chunk(&call, ne, arrs, 0, n, s);
     } else {
         let partials = run_chunked(cfg, n, &|lo, hi| {
-            let mut c = Scratch::default();
+            let mut c = Scratch::shared();
             reduce_chunk(&call, ne, arrs, lo, hi, &mut c);
             c.acc
         });
-        combine_partials(&call, &mut s.one, ne, partials, &mut s.acc);
+        combine_partials(&call, &mut s.files, ne, partials, &mut s.acc);
     }
     Some(())
 }
@@ -1438,10 +1435,10 @@ pub(crate) fn reduce(
     true
 }
 
-/// Elements `lo..hi` of a fused `reduce ∘ map` into `s.acc`: 4-lane map
-/// blocks (lane width 1 for a serial map tape — a nest) feeding a strictly
-/// sequential in-order fold, so the accumulation order is element order
-/// exactly as in the generic redomap.
+/// Elements `lo..hi` of a fused `reduce ∘ map` into `s.acc`: map blocks of
+/// up to [`B`] live lanes (lane width 1 for a serial map tape — a nest)
+/// feeding a strictly sequential in-order fold, so the accumulation order
+/// is element order exactly as in the generic redomap.
 fn redomap_chunk<'a, S: Operands<'a>>(
     red: &Call<'a, S>,
     map: &Call<'a, S>,
@@ -1452,8 +1449,8 @@ fn redomap_chunk<'a, S: Operands<'a>>(
     s: &mut Scratch,
 ) {
     let Scratch {
-        wide,
-        one,
+        shared,
+        files,
         red: rfiles,
         acc,
         elems,
@@ -1463,44 +1460,43 @@ fn redomap_chunk<'a, S: Operands<'a>>(
     } = s;
     let mk = map.k;
     let f_col = |c: &Col| match *c {
-        Col::F(r) => r as usize,
+        Col::F(r) => r,
         Col::Row(_) => unreachable!("the map side of a redomap returns floats"),
     };
     fold_start(red, rfiles, ne, acc);
     elems.clear();
     elems.resize(mk.cols.len(), 0.0);
-    let mut i = lo;
-    if !mk.tape.serial && hi - lo >= 4 {
-        map.load(wide);
-        while i + 4 <= hi {
-            load_block4(&mk.tape, wide, args, i);
-            map.run(wide);
+    if !mk.tape.serial {
+        map.load::<B>(files, (hi - lo).min(B));
+        let mut i = lo;
+        while i < hi {
+            let w = (hi - i).min(B);
+            load_block(&mk.tape, files, args, i, w);
+            map.run::<B>(files, w);
             if let (Some(native), [c], [a]) = (red.k.native, &mk.cols[..], &mut acc[..]) {
-                *a = native.fold(*a, &wide.f[f_col(c)]);
+                *a = native.fold(*a, &files.f[span::<B>(f_col(c), w)]);
             } else {
-                for l in 0..4 {
+                for l in 0..w {
                     for (x, c) in elems.iter_mut().zip(&mk.cols) {
-                        *x = wide.f[f_col(c)][l];
+                        *x = files.f[span::<B>(f_col(c), w)][l];
                     }
                     fold_step(red, rfiles, acc, elems);
                 }
             }
-            i += 4;
+            i += w;
         }
+        return;
     }
-    if i < hi {
-        map.load(one);
-        size_temps(temps, &mk.tape);
-        let mut tables = map.tables;
-        while i < hi {
-            load_one(&mk.tape, one, &mut tables, args, i);
-            map.run_one(&tables, one, temps, inner);
-            for (x, c) in elems.iter_mut().zip(&mk.cols) {
-                *x = one.f[f_col(c)][0];
-            }
-            fold_step(red, rfiles, acc, elems);
-            i += 1;
+    map.load::<1>(files, 1);
+    size_temps(temps, &mk.tape);
+    let mut tables = map.tables;
+    for i in lo..hi {
+        load_one(&mk.tape, files, &mut tables, args, i);
+        map.run_one(&tables, files, temps, inner, *shared);
+        for (x, c) in elems.iter_mut().zip(&mk.cols) {
+            *x = files.f[f_col(c) as usize];
         }
+        fold_step(red, rfiles, acc, elems);
     }
 }
 
@@ -1527,7 +1523,7 @@ fn redomap_into<'a, S: Operands<'a>>(
         redomap_chunk(&red, &map, ne, streams, 0, n, s);
     } else {
         let partials = run_chunked(cfg, n, &|lo, hi| {
-            let mut c = Scratch::default();
+            let mut c = Scratch::shared();
             redomap_chunk(&red, &map, ne, streams, lo, hi, &mut c);
             c.acc
         });
@@ -1600,13 +1596,13 @@ pub(crate) fn scan(
         };
         let arrs = &arrs[..args.len()];
         let Scratch {
-            one,
+            files,
             acc,
             elems,
             cols,
             ..
         } = scratch;
-        fold_start(&call, one, &ne[..neutral.len()], acc);
+        fold_start(&call, files, &ne[..neutral.len()], acc);
         elems.clear();
         elems.resize(arrs.len(), 0.0);
         let cols = first_cols(cols, acc.len());
@@ -1620,7 +1616,7 @@ pub(crate) fn scan(
             for (x, arr) in elems.iter_mut().zip(arrs) {
                 *x = arr[i];
             }
-            fold_step(&call, one, acc, elems);
+            fold_step(&call, files, acc, elems);
             for (col, a) in cols.iter_mut().zip(acc.iter()) {
                 col.data.push(*a);
             }

@@ -23,9 +23,11 @@
 //!   `withacc` in the body, `i64` results, `iota`/`update`) keeps a
 //!   [`Fallback`] reason ([`Program::tape_report`]) and runs as generic
 //!   bytecode — the one fallback.
-//! * [`vm`] executes programs: tapes on the 4-lane executor in `exec`
-//!   (arguments borrowed from the frame, nothing allocated but outputs,
-//!   single-operator folds as native loops), everything else instruction
+//! * [`vm`] executes programs: tapes on the block executor in `exec`
+//!   (a block is as wide as what is left of the stream, up to 16 lanes;
+//!   arguments borrowed from the frame, nothing allocated but outputs,
+//!   single-operator folds as native loops; accumulator adds are CAS only
+//!   inside the chunks of a parallel SOAC), everything else instruction
 //!   by instruction, both scheduling parallel
 //!   SOAC chunks on the persistent [`WorkerPool`](interp::WorkerPool)
 //!   shared with the interpreter — no thread spawn per SOAC — and both
@@ -286,6 +288,7 @@ impl Backend for Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::B;
     use fir::builder::Builder;
     use fir::ir::{Atom, ReduceOp};
     use fir::types::Type;
@@ -695,6 +698,13 @@ mod tests {
         (0..n).map(|i| (i as f64) * 0.37 - 3.0).collect()
     }
 
+    /// Stream extents around the block edge — a block is up to `B` live
+    /// lanes — plus empty, the old 4-lane edge, 13 and 25 (sparse k-means'
+    /// and GMM's extents) and two that are past the forced-parallel
+    /// threshold of [`assert_tape_parity`] (so an inner fold is chunked
+    /// inside its tape).
+    const EDGES: [usize; 12] = [0, 1, 3, 4, 5, 13, B - 1, B, B + 1, 25, 2 * B + 1, 40];
+
     #[test]
     fn map_kernels_match_bitwise_including_tails() {
         let mut b = Builder::new();
@@ -708,8 +718,7 @@ mod tests {
             });
             vec![Atom::Var(y)]
         });
-        // Lengths around the 4-lane block edge, plus empty.
-        for n in [0usize, 1, 3, 4, 5, 8, 17, 100] {
+        for n in EDGES.into_iter().chain([100]) {
             let counts = assert_tape_parity(&f, &[Value::from(data(n)), Value::F64(1.75)]);
             assert_eq!((counts.tapes, counts.generic), (1, 0), "n = {n}");
         }
@@ -726,13 +735,13 @@ mod tests {
             let m = b.maximum(ps[0]);
             vec![Atom::Var(s), Atom::Var(m)]
         });
-        for n in [0usize, 1, 5, 7, 100, 10_000] {
+        for n in EDGES.into_iter().chain([100, 10_000]) {
             let counts = assert_tape_parity(&f, &[Value::from(data(n))]);
             assert_eq!((counts.tapes, counts.generic), (3, 0), "n = {n}");
         }
         // The fused form (redomap) after SOAC fusion.
         let fused = fir_opt::fuse_soacs(&f);
-        for n in [0usize, 1, 5, 7, 100, 10_000] {
+        for n in EDGES.into_iter().chain([100, 10_000]) {
             let counts = assert_tape_parity(&fused, &[Value::from(data(n))]);
             assert_eq!((counts.tapes, counts.generic), (2, 0), "n = {n}");
         }
@@ -803,7 +812,7 @@ mod tests {
             });
             vec![b.sum(g).into()]
         });
-        for n in [0usize, 1, 3, 4, 5, 17, 100] {
+        for n in EDGES.into_iter().chain([100]) {
             let counts = assert_tape_parity(&f, &[Value::from(data(n))]);
             assert_eq!((counts.tapes, counts.generic), (2, 0), "n = {n}");
         }
@@ -836,7 +845,7 @@ mod tests {
             (0..12).map(|i| i as f64 * 1.5 - 4.0).collect(),
         ));
         let v = Value::from(vec![2.0, -1.0, 0.25, 7.0]);
-        for n in [0usize, 1, 4, 5, 17, 100] {
+        for n in EDGES.into_iter().chain([100]) {
             let counts = assert_tape_parity(&f, &[Value::from(data(n)), w.clone(), v.clone()]);
             assert_eq!((counts.tapes, counts.generic), (2, 0), "n = {n}");
         }
@@ -988,11 +997,11 @@ mod tests {
             vec![Atom::Var(sums)]
         });
         all_tapes(&f);
-        // Inner lengths around the 4-lane block edge (and 33, 40: past the
+        // Inner lengths around the block edge (33, 40: past the
         // forced-parallel threshold, so the inner fold is chunked inside
         // the tape), outer lengths around nothing.
         for n in [0usize, 1, 7] {
-            for m in [0usize, 1, 3, 4, 5, 33, 40] {
+            for m in EDGES {
                 let counts = assert_tape_parity(&f, &[matrix(n, m), Value::F64(0.25)]);
                 assert_eq!((counts.tapes, counts.generic), (1, 0), "[{n}, {m}]");
             }
@@ -1041,7 +1050,11 @@ mod tests {
     fn three_deep_nests_run_inside_one_tape() {
         let f = fir_opt::fuse_soacs(&small_gmm());
         all_tapes(&f);
-        for (n, d, k) in [(0usize, 3usize, 2usize), (1, 1, 1), (5, 4, 3), (9, 33, 10)] {
+        let shapes = [(0usize, 3usize, 2usize), (1, 1, 1), (5, 4, 3), (9, 33, 10)];
+        // Both inner extents (d under the redomap, K under the maps and
+        // folds over components) around the block edge.
+        let edges = EDGES.into_iter().skip(1).map(|e| (3, e, e));
+        for (n, d, k) in shapes.into_iter().chain(edges) {
             let args = [
                 matrix(n, d),
                 Value::from(data(k)),
@@ -1082,7 +1095,8 @@ mod tests {
             vec![outs[0].into(), outs[1].into()]
         });
         all_tapes(&f);
-        for (n, m) in [(0usize, 3usize), (1, 1), (3, 4), (7, 5), (2, 33)] {
+        let shapes = [(0usize, 3usize), (1, 1), (3, 4), (7, 5), (2, 33)];
+        for (n, m) in shapes.into_iter().chain(EDGES.map(|m| (2, m))) {
             let args = [matrix(n, m), Value::F64(-1.5)];
             let counts = assert_tape_parity(&f, &args);
             assert_eq!((counts.tapes, counts.generic), (1, 0), "[{n}, {m}]");
@@ -1130,7 +1144,9 @@ mod tests {
         assert!(has(&|op| matches!(op, Op::UpdAccRow(..))), "{df:?}");
         assert!(has(&|op| matches!(op, Op::Replicate(..))));
         assert!(has(&|op| matches!(op, Op::Inner(_))));
-        for (n, d, k) in [(1usize, 1usize, 1usize), (3, 4, 2), (5, 33, 3)] {
+        let shapes = [(1usize, 1usize, 1usize), (3, 4, 2), (5, 33, 3)];
+        let edges = EDGES.into_iter().skip(1).map(|d| (2, d, 2));
+        for (n, d, k) in shapes.into_iter().chain(edges) {
             let means = Value::Arr(Array::from_f64(
                 vec![k, d],
                 data(k * d).iter().map(|x| 1.0 - x).collect(),
@@ -1178,6 +1194,37 @@ mod tests {
         );
     }
 
+    /// A flat `redomap` — blocks of the map feeding the fold `op` lane by
+    /// lane — with a NaN on each side of the first block edge in turn: the
+    /// fold's operand order across the edge shows in the bits.
+    fn assert_redomap_parity_across_the_block_edge(
+        ne: f64,
+        op: impl Fn(&mut Builder, Atom, Atom) -> Atom,
+    ) {
+        let mut b = Builder::new();
+        let f = b.build_fun("edge", &[Type::arr_f64(1)], |b, ps| {
+            let r = b.redomap(
+                &[Type::F64],
+                &[Atom::f64(ne)],
+                &[ps[0]],
+                |b, es| vec![b.fmul(es[0].into(), Atom::f64(1.5))],
+                |b, es| vec![op(b, es[0].into(), es[1].into())],
+            );
+            vec![r[0].into()]
+        });
+        all_tapes(&f);
+        for n in EDGES {
+            for nan_at in [B - 1, B] {
+                let mut xs = data(n);
+                if let Some(x) = xs.get_mut(nan_at) {
+                    *x = f64::NAN;
+                }
+                let counts = assert_tape_parity(&f, &[Value::from(xs)]);
+                assert_eq!((counts.tapes, counts.generic), (1, 0), "n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn native_and_interpreted_folds_keep_the_operand_order() {
         let with_nan = |n: usize, m: usize| {
@@ -1204,6 +1251,7 @@ mod tests {
                 assert_tape_parity(&f, &[with_nan(n, m)]);
                 assert_tape_parity(&f, &[matrix(n, m)]);
             }
+            assert_redomap_parity_across_the_block_edge(ne, op);
         }
         // Two ops: no native loop, one tape run per element.
         let f = row_folds("halfsum", 0.0, |b, a, x| {
@@ -1216,6 +1264,10 @@ mod tests {
             let counts = assert_tape_parity(&f, &[with_nan(n, m)]);
             assert_eq!((counts.tapes, counts.generic), (1, 0));
         }
+        assert_redomap_parity_across_the_block_edge(0.0, |b, a, x| {
+            let s = b.fadd(a, x);
+            b.fmul(s, Atom::f64(0.5))
+        });
         // The same operators from the main body (no nest).
         let mut b = Builder::new();
         let flat = b.build_fun("flat", &[Type::arr_f64(1)], |b, ps| {
@@ -1287,5 +1339,209 @@ mod tests {
         exec.run(&args).unwrap();
         let stats = vm.tape_stats();
         assert_eq!((stats.tape_dispatches, stats.generic_dispatches), (4, 0));
+    }
+
+    // -----------------------------------------------------------------
+    // Live lanes: a block computes the lanes it has elements for, no more.
+    // -----------------------------------------------------------------
+
+    /// What running `prog` fails with.
+    fn failure(prog: &Program, args: &[Value]) -> String {
+        let run = || vm::run_program(prog, &ExecConfig::sequential(), args);
+        let panic = catch_unwind(AssertUnwindSafe(run)).expect_err("the run must fail");
+        interp::error::panic_message(panic)
+    }
+
+    #[test]
+    fn gathers_fail_like_the_generic_path_in_every_lane_and_in_no_dead_one() {
+        // `map (\i -> table[i]) is`: an `i64` stream gathered with.
+        let mut b = Builder::new();
+        let gather = b.build_fun("pick", &[Type::arr_i64(1), Type::arr_f64(1)], |b, ps| {
+            let g = b.map1(Type::arr_f64(1), &[ps[0]], |b, es| {
+                vec![b.index(ps[1], &[es[0].into()]).into()]
+            });
+            vec![Atom::Var(g)]
+        });
+        let prog = all_tapes(&gather);
+        let table = Value::from(data(8));
+        // Out of bounds in the first lane, in the last live lane of a
+        // partial block, and in the first lane of the second block.
+        for (n, bad) in [(5, 0), (B - 3, B - 4), (B + 3, B)] {
+            let mut is = vec![1i64; n];
+            is[bad] = 8;
+            let args = [Value::from(is), table.clone()];
+            let message = failure(&prog, &args);
+            assert_eq!(message, "index 8 out of bounds for dim of size 8");
+            assert_eq!(message, failure(&prog.without_tapes(), &args), "n = {n}");
+        }
+
+        // Two gathers through the same register files: a full block leaves
+        // the indices `13..B` in the lanes the second one — 13 elements
+        // over a table of 13 — has no element for. Computing a dead lane
+        // would read them and fail.
+        let mut b = Builder::new();
+        let params = [Type::arr_f64(1), Type::arr_f64(1)];
+        let twice = b.build_fun("twice", &params, |b, ps| {
+            let sums: Vec<Atom> = ps
+                .iter()
+                .map(|table| {
+                    let n = b.len(*table);
+                    let is = b.iota(n);
+                    let g = b.map1(Type::arr_f64(1), &[is], |b, es| {
+                        vec![b.index(*table, &[es[0].into()]).into()]
+                    });
+                    b.sum(g).into()
+                })
+                .collect();
+            sums
+        });
+        let counts = assert_tape_parity(&twice, &[Value::from(data(B)), Value::from(data(13))]);
+        assert_eq!((counts.tapes, counts.generic), (4, 0));
+    }
+
+    // -----------------------------------------------------------------
+    // Owned and shared accumulator adds: a strand adds without CAS only
+    // while nothing runs beside it.
+    // -----------------------------------------------------------------
+
+    /// Every SOAC of two or more elements forks into chunks.
+    fn forced_parallel() -> ExecConfig {
+        ExecConfig {
+            parallel: true,
+            num_threads: 4,
+            parallel_threshold: 2,
+        }
+    }
+
+    /// `withacc dst (\acc -> map (\i acc -> upd_acc acc [i] 1.0) is acc)`;
+    /// with `generic`, an `iota` in the body keeps the kernel off the tape.
+    fn count_into_cells(generic: bool) -> Fun {
+        let mut b = Builder::new();
+        let params = [Type::arr_f64(1), Type::arr_i64(1)];
+        b.build_fun("count", &params, |b, ps| {
+            let out = b.with_acc(&[ps[0]], |b, accs| {
+                let acc_ty = b.ty_of(accs[0]);
+                let acc = b.map1(acc_ty, &[ps[1], accs[0]], |b, es| {
+                    let at = if generic {
+                        let one = b.iota(Atom::i64(1));
+                        let zero = b.index(one, &[Atom::i64(0)]);
+                        b.iadd(es[0].into(), zero.into())
+                    } else {
+                        es[0].into()
+                    };
+                    vec![b.upd_acc(es[1], &[at], Atom::f64(1.0)).into()]
+                });
+                vec![acc.into()]
+            });
+            vec![out[0].into()]
+        })
+    }
+
+    #[test]
+    fn chunks_of_a_parallel_map_lose_no_accumulator_update() {
+        let args = [Value::from(vec![0.0]), Value::from(vec![0i64; 20_000])];
+        for generic in [false, true] {
+            let f = count_into_cells(generic);
+            let form = compile(&f).tape_report()[0];
+            assert_eq!(form == KernelForm::Tape, !generic, "{form:?}");
+            let vm = Vm::with_config(forced_parallel());
+            for _ in 0..20 {
+                let out = vm.run(&f, &args);
+                assert_eq!(out[0].as_arr().f64s(), [20_000.0], "generic: {generic}");
+            }
+            assert_tape_parity(&f, &args);
+        }
+    }
+
+    /// Per `loop` iteration, a `map` of extent 1 — inline on the root
+    /// strand — whose body adds to cell 0 itself and then runs an inner
+    /// `map` over `inner` (cell numbers as floats: the array slots of a tape
+    /// are `f64`) adding to the same accumulator.
+    fn owner_then_chunks() -> Fun {
+        let mut b = Builder::new();
+        let params = [
+            Type::arr_f64(1),
+            Type::arr_i64(1),
+            Type::arr_f64(1),
+            Type::I64,
+        ];
+        b.build_fun("mixed", &params, |b, ps| {
+            let (dst, outer, inner, iters) = (ps[0], ps[1], ps[2], ps[3]);
+            let total = b.loop_(
+                &[(Type::arr_f64(1), dst.into())],
+                iters.into(),
+                |b, _, st| {
+                    let out = b.with_acc(&[st[0]], |b, accs| {
+                        let acc_ty = b.ty_of(accs[0]);
+                        let acc = b.map1(acc_ty, &[outer, accs[0]], |b, es| {
+                            let own = b.upd_acc(es[1], &[es[0].into()], Atom::f64(1.0));
+                            let forked = b.map1(acc_ty, &[inner], |b, js| {
+                                let j = b.to_i64(js[0].into());
+                                vec![b.upd_acc(own, &[j], Atom::f64(1.0)).into()]
+                            });
+                            vec![forked.into()]
+                        });
+                        vec![acc.into()]
+                    });
+                    vec![out[0].into()]
+                },
+            );
+            vec![total[0].into()]
+        })
+    }
+
+    #[test]
+    fn a_strand_adds_plainly_between_its_forks_and_atomically_inside_them() {
+        let f = owner_then_chunks();
+        let prog = compile(&f);
+        assert_eq!(prog.tape_report()[..2], [KernelForm::Tape; 2]);
+        let args = [
+            Value::from(vec![0.0]),
+            Value::from(vec![0i64]),
+            Value::from(vec![0.0; 5_000]),
+            Value::I64(50),
+        ];
+        // The nest as one tape, and as generic bytecode re-entering the VM
+        // for the inner map: an owned add, then a fork of shared ones.
+        for prog in [&prog, &prog.without_tapes()] {
+            let out = vm::run_program(prog, &forced_parallel(), &args);
+            assert_eq!(out[0].as_arr().f64s(), [50.0 * 5_001.0]);
+        }
+        let counts = assert_tape_parity(&f, &args);
+        assert_eq!((counts.tapes, counts.generic), (50, 0));
+    }
+
+    #[test]
+    fn a_slice_add_of_the_wrong_extent_fails_alike_owned_and_shared() {
+        // `acc[i] += row` with a 3-element row into rows of 2.
+        let mut b = Builder::new();
+        let params = [Type::arr_f64(2), Type::arr_i64(1), Type::arr_f64(1)];
+        let f = b.build_fun("rows", &params, |b, ps| {
+            let out = b.with_acc(&[ps[0]], |b, accs| {
+                let acc_ty = b.ty_of(accs[0]);
+                let acc = b.map1(acc_ty, &[ps[1], accs[0]], |b, es| {
+                    let n = b.len(ps[2]);
+                    let zero = b.isub(n, n);
+                    let at = b.iadd(es[0].into(), zero);
+                    vec![b.upd_acc(es[1], &[at], ps[2].into()).into()]
+                });
+                vec![acc.into()]
+            });
+            vec![out[0].into()]
+        });
+        let prog = compile(&f);
+        assert_eq!(prog.tape_report()[0], KernelForm::Tape);
+        let args = [
+            matrix(2, 2),
+            Value::from(vec![0i64, 1, 0, 1]),
+            Value::from(data(3)),
+        ];
+        let want = "upd_acc: value has 3 elements, the addressed slice has 2";
+        for prog in [&prog, &prog.without_tapes()] {
+            assert_eq!(failure(prog, &args), want);
+            let run = || vm::run_program(prog, &forced_parallel(), &args);
+            let panic = catch_unwind(AssertUnwindSafe(run)).expect_err("must fail");
+            assert!(interp::error::panic_message(panic).contains(want));
+        }
     }
 }

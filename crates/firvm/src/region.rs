@@ -42,18 +42,14 @@ pub(crate) struct Region {
 impl Region {
     /// Run against the main frame; `None` leaves the frame untouched.
     pub(crate) fn run(&self, regs: &mut [Value]) -> Option<usize> {
-        let mut f = [[0.0f64; 1]; MAX_F];
-        let mut b = [[false; 1]; MAX_B];
-        for (r, x) in f.iter_mut().zip(&self.tape.f_init) {
-            r[0] = *x;
-        }
-        for (r, x) in b.iter_mut().zip(&self.tape.b_init) {
-            r[0] = *x;
-        }
+        let mut f = [0.0f64; MAX_F];
+        let mut b = [false; MAX_B];
+        f[..self.tape.f_init.len()].copy_from_slice(&self.tape.f_init);
+        b[..self.tape.b_init.len()].copy_from_slice(&self.tape.b_init);
         for &(vr, cls, tr) in &self.inputs {
             match (cls, &regs[vr as usize]) {
-                (Cls::F, Value::F64(x)) => f[tr as usize][0] = *x,
-                (Cls::B, Value::Bool(x)) => b[tr as usize][0] = *x,
+                (Cls::F, Value::F64(x)) => f[tr as usize] = *x,
+                (Cls::B, Value::Bool(x)) => b[tr as usize] = *x,
                 _ => return None,
             }
         }
@@ -64,8 +60,8 @@ impl Region {
         );
         for &(vr, cls, tr) in &self.outputs {
             regs[vr as usize] = match cls {
-                Cls::F => Value::F64(f[tr as usize][0]),
-                Cls::B => Value::Bool(b[tr as usize][0]),
+                Cls::F => Value::F64(f[tr as usize]),
+                Cls::B => Value::Bool(b[tr as usize]),
                 Cls::I | Cls::A | Cls::C => {
                     unreachable!("regions admit scalar f64/bool tapes only")
                 }

@@ -329,6 +329,12 @@ pub(crate) struct Tape {
     pub f_init: Vec<f64>,
     pub b_init: Vec<bool>,
     pub i_init: Vec<i64>,
+    /// The constant registers of each file, in register order: all of the
+    /// template a dispatch writes (nothing reads any other register before
+    /// writing it).
+    pub f_consts: Vec<u16>,
+    pub b_consts: Vec<u16>,
+    pub i_consts: Vec<u16>,
     /// Per bound array slot: the rank its uses require — gathers, and the
     /// streams and captures of inner SOACs it feeds (`0` when only `Len`
     /// touches it, which accepts any rank). A parameter slot is a row, so
@@ -879,12 +885,13 @@ impl<'p> Lowerer<'p> {
             }
             // Scatter-adds into shared accumulators — the write half of vjp
             // transposition (`dst[i] += v`, `w[i][j] += v`). The executor
-            // calls `Accum::add_at` directly, so the negative-index panic,
-            // the silent out-of-bounds skip and the zero-skip CAS add all
-            // match the generic `UpdAcc` bit for bit; lane width is pinned
-            // to 1 for tapes containing these (see `exec::map`) so adds land
-            // in per-element order. The updated handle is the same shared
-            // handle: `dst` re-binds as an alias of the slot.
+            // adds through the same helper as the generic `UpdAcc`, so the
+            // negative-index panic, the silent out-of-bounds skip and the
+            // zero-skipping add (CAS or plain, by strand) all match it bit
+            // for bit; lane width is pinned to 1 for tapes containing these
+            // (see `exec::map`) so adds land in per-element order. The
+            // updated handle is the same shared handle: `dst` re-binds as an
+            // alias of the slot.
             Instr::UpdAcc { dst, acc, idx, val } => {
                 let v = self.opnd(val, F)?;
                 let c = match &idx[..] {
@@ -1027,9 +1034,17 @@ impl<'p> Lowerer<'p> {
                 *slot = Some((*cls, *i));
             }
         }
+        fn sorted(regs: impl Iterator<Item = u16>) -> Vec<u16> {
+            let mut regs: Vec<u16> = regs.collect();
+            regs.sort_unstable();
+            regs
+        }
         Tape {
             ops: self.ops,
             inner: self.inner,
+            f_consts: sorted(self.f_const_ix.into_values()),
+            b_consts: sorted(self.b_const_ix.into_iter().flatten()),
+            i_consts: sorted(self.i_const_ix.into_values()),
             f_init: self.f_init,
             b_init: self.b_init,
             i_init: self.i_init,

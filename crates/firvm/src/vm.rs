@@ -46,9 +46,17 @@ pub struct DispatchCounts {
 /// What one strand of execution — a `run_program`, or one chunk of a
 /// parallel generic SOAC — carries from dispatch to dispatch: the tape
 /// executor's scratch buffers (one set per nest depth) and the dispatch
-/// counts. Plain fields, no
-/// atomics: a strand belongs to one thread, and a parallel SOAC adds its
-/// chunks' counts to the dispatching strand when they return.
+/// counts. Plain fields, no atomics: a strand belongs to one thread, and a
+/// parallel SOAC adds its chunks' counts to the dispatching strand when
+/// they return.
+///
+/// The scratch also says whether the strand is *shared* — one of several
+/// chunks running concurrently ([`Strand::shared`], made in [`chunked`]'s
+/// parallel arm and nowhere else) — or owned (`default()`: a
+/// `run_program`, and everything it runs inline). `upd_acc` adds by CAS on
+/// a shared strand and by load–add–store on an owned one; while its chunks
+/// run, the strand that forked them waits in `run_chunked` and adds
+/// nothing, which is what makes the plain add sound.
 #[derive(Default)]
 pub(crate) struct Strand {
     scratch: Scratch,
@@ -56,6 +64,14 @@ pub(crate) struct Strand {
 }
 
 impl Strand {
+    /// The strand of one chunk of a parallel SOAC.
+    fn shared() -> Strand {
+        Strand {
+            scratch: Scratch::shared(),
+            counts: DispatchCounts::default(),
+        }
+    }
+
     fn count(&mut self, ran_as_tape: bool) {
         if ran_as_tape {
             self.counts.tapes += 1;
@@ -109,7 +125,7 @@ fn chunked<R: Send>(
         return vec![f(0, n, strand)];
     }
     let chunks = run_chunked(ctx.cfg, n, &|lo, hi| {
-        let mut s = Strand::default();
+        let mut s = Strand::shared();
         (f(lo, hi, &mut s), s.counts)
     });
     let absorb = |(r, c): (R, DispatchCounts)| {
@@ -386,19 +402,11 @@ pub(crate) fn exec(ctx: &ExecCtx, code: &CodeObject, regs: &mut [Value], strand:
             Instr::UpdAcc { dst, acc, idx, val } => {
                 let handle = regs[*acc as usize].as_acc().clone();
                 let idx = read_usizes(regs, idx);
-                if handle.in_bounds(&idx) {
-                    let (off, span) = handle.offset_of(&idx);
-                    match read(regs, val) {
-                        Value::F64(x) => {
-                            debug_assert_eq!(span, 1);
-                            handle.add_at(off, x);
-                        }
-                        Value::Arr(a) => {
-                            debug_assert_eq!(span, a.f64s().len());
-                            handle.add_slice(off, a.f64s());
-                        }
-                        other => panic!("upd_acc with non-float value {other:?}"),
-                    }
+                let shared = strand.scratch.shared;
+                match read(regs, val) {
+                    Value::F64(x) => exec::acc_add(&handle, shared, &idx, x),
+                    Value::Arr(a) => exec::acc_add_slice(&handle, shared, &idx, a.f64s()),
+                    other => panic!("upd_acc with non-float value {other:?}"),
                 }
                 regs[*dst as usize] = Value::Acc(handle);
             }
@@ -802,10 +810,8 @@ fn exec_hist(
             for kk in lo..hi {
                 let bin = idata[kk];
                 if bin >= 0 && (bin as usize) < m {
-                    acc.add_slice(
-                        bin as usize * stride,
-                        &vdata[kk * stride..(kk + 1) * stride],
-                    );
+                    let row = &vdata[kk * stride..(kk + 1) * stride];
+                    acc.add_slice(bin as usize * stride, stride, row);
                 }
             }
         });

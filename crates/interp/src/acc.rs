@@ -1,10 +1,21 @@
-//! Accumulators: shared, atomically-updated `f64` buffers.
+//! Accumulators: `f64` buffers that many strands of execution may add into.
 //!
 //! Accumulators are the runtime realization of the paper's `withacc`/`upd`
 //! constructs (§5.4): a write-only view of an array into which many parallel
-//! threads may add contributions. On GPUs these become `atomicAdd`; here we
-//! implement the same semantics with a CAS loop over the `f64` bit pattern
-//! stored in an `AtomicU64`.
+//! threads may add contributions. On GPUs these become `atomicAdd`; here the
+//! cells are `AtomicU64`s holding the `f64` bit pattern, and an add comes in
+//! two forms over the same cells:
+//!
+//! * [`Accum::add_at`]/[`Accum::add_slice`] — a CAS loop, for callers that
+//!   may run concurrently with other adders (the chunks of a parallel SOAC);
+//! * [`Accum::add_at_owned`]/[`Accum::add_slice_owned`] — load, add, store,
+//!   for a caller that knows no other thread adds while it does (the paper's
+//!   sequential rows are plain writes too). The cells stay atomics, so a
+//!   misuse loses an update; it is never a data race.
+//!
+//! Both skip zero contributions, add in cell order, and check a slice
+//! against the extent it addresses, so which one ran is not observable in
+//! the result of a race-free program.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,6 +35,33 @@ struct AccBuf {
 #[derive(Debug, Clone)]
 pub struct Accum {
     buf: Arc<AccBuf>,
+}
+
+/// `cell += v` by compare-and-swap; zero contributions are skipped.
+#[inline]
+fn cas_add(cell: &AtomicU64, v: f64) {
+    if v == 0.0 {
+        return;
+    }
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let new = (f64::from_bits(cur) + v).to_bits();
+        match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(actual) => cur = actual,
+        }
+    }
+}
+
+/// `cell += v` as load, add, store: the same result as [`cas_add`] when no
+/// other thread adds to the cell meanwhile, a lost update (never a data
+/// race) otherwise.
+#[inline]
+fn plain_add(cell: &AtomicU64, v: f64) {
+    if v != 0.0 {
+        let cur = f64::from_bits(cell.load(Ordering::Relaxed));
+        cell.store((cur + v).to_bits(), Ordering::Relaxed);
+    }
 }
 
 impl Accum {
@@ -68,25 +106,40 @@ impl Accum {
 
     /// Atomically add `v` to the cell at flat offset `off`.
     pub fn add_at(&self, off: usize, v: f64) {
-        if v == 0.0 {
-            return;
-        }
-        let cell = &self.buf.cells[off];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
+        cas_add(&self.buf.cells[off], v);
+    }
+
+    /// [`add_at`](Accum::add_at) for a caller no other thread adds
+    /// alongside.
+    pub fn add_at_owned(&self, off: usize, v: f64) {
+        plain_add(&self.buf.cells[off], v);
+    }
+
+    /// The cells a slice add of `vs` at `(off, span)` — what
+    /// [`offset_of`](Accum::offset_of) returned — goes to. Panics, before
+    /// anything is added, when `vs` is not exactly the addressed extent.
+    fn slice_cells(&self, off: usize, span: usize, vs: &[f64]) -> &[AtomicU64] {
+        assert!(
+            vs.len() == span,
+            "upd_acc: value has {} elements, the addressed slice has {span}",
+            vs.len()
+        );
+        &self.buf.cells[off..off + span]
+    }
+
+    /// Atomically add `vs`, cell by cell, to the `span` cells from flat
+    /// offset `off` (a sub-array contribution).
+    pub fn add_slice(&self, off: usize, span: usize, vs: &[f64]) {
+        for (cell, v) in self.slice_cells(off, span, vs).iter().zip(vs) {
+            cas_add(cell, *v);
         }
     }
 
-    /// Atomically add a contiguous slice starting at flat offset `off`
-    /// (vectorized accumulation of a sub-array contribution).
-    pub fn add_slice(&self, off: usize, vs: &[f64]) {
-        for (k, v) in vs.iter().enumerate() {
-            self.add_at(off + k, *v);
+    /// [`add_slice`](Accum::add_slice) for a caller no other thread adds
+    /// alongside.
+    pub fn add_slice_owned(&self, off: usize, span: usize, vs: &[f64]) {
+        for (cell, v) in self.slice_cells(off, span, vs).iter().zip(vs) {
+            plain_add(cell, *v);
         }
     }
 
@@ -173,6 +226,50 @@ mod tests {
             }
         });
         assert_eq!(acc.to_array().f64s()[0], 8000.0);
+    }
+
+    #[test]
+    fn owned_adds_land_like_atomic_ones() {
+        let (shared, owned) = (Accum::zeros(vec![2, 3]), Accum::zeros(vec![2, 3]));
+        for (off, v) in [(1, 2.5), (1, 0.5), (4, -0.0), (5, -1.0)] {
+            shared.add_at(off, v);
+            owned.add_at_owned(off, v);
+        }
+        let row = [0.25, 0.0, f64::NAN];
+        let (off, span) = shared.offset_of(&[1]);
+        shared.add_slice(off, span, &row);
+        owned.add_slice_owned(off, span, &row);
+        let bits = |a: &Accum| {
+            a.to_array()
+                .f64s()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&shared), bits(&owned));
+        assert_eq!(shared.to_array().f64s()[..4], [0.0, 3.0, 0.0, 0.25]);
+    }
+
+    #[test]
+    fn slice_adds_of_the_wrong_extent_add_nothing() {
+        let acc = Accum::zeros(vec![2, 2]);
+        let (off, span) = acc.offset_of(&[0]);
+        for len in [1usize, 3, 5] {
+            let row = vec![1.0; len];
+            for owned in [false, true] {
+                let add = || match owned {
+                    true => acc.add_slice_owned(off, span, &row),
+                    false => acc.add_slice(off, span, &row),
+                };
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(add))
+                    .expect_err("the extent check must fire");
+                assert_eq!(
+                    crate::error::panic_message(panic),
+                    format!("upd_acc: value has {len} elements, the addressed slice has 2")
+                );
+            }
+        }
+        assert_eq!(acc.to_array().f64s(), &[0.0; 4]);
     }
 
     #[test]

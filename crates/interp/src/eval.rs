@@ -328,10 +328,7 @@ impl Interp {
                             debug_assert_eq!(span, 1);
                             acc.add_at(off, x);
                         }
-                        Value::Arr(a) => {
-                            debug_assert_eq!(span, a.f64s().len());
-                            acc.add_slice(off, a.f64s());
-                        }
+                        Value::Arr(a) => acc.add_slice(off, span, a.f64s()),
                         other => panic!("upd_acc with non-float value {other:?}"),
                     }
                 }
@@ -527,7 +524,8 @@ impl Interp {
             self.par_map(n, |k| {
                 let bin = idata[k];
                 if bin >= 0 && (bin as usize) < m {
-                    acc.add_slice(bin as usize * stride, &vdata[k * stride..(k + 1) * stride]);
+                    let row = &vdata[k * stride..(k + 1) * stride];
+                    acc.add_slice(bin as usize * stride, stride, row);
                 }
             });
             return vec![Value::Arr(acc.to_array())];

@@ -165,6 +165,71 @@ fn rsbench_backends_agree() {
     assert_parity("rsbench", &mc::rsbench_ir(4, 3), &data.ir_args());
 }
 
+/// Every accumulator add of a gradient through a parallel arm: with a
+/// threshold of 2 every SOAC of two or more elements forks, so a strand
+/// adds on the shared (CAS) path inside its chunks and on the owned one
+/// between its forks. A lost update shows as a wrong gradient; repeats,
+/// because a race need not show on the first run.
+#[test]
+fn forced_parallel_gradients_agree_with_the_sequential_vm() {
+    let gmm = gmm::GmmData::generate(40, 4, 5, 1);
+    let dense = kmeans::KmeansData::generate(200, 4, 5, 2);
+    let sparse = kmeans::SparseKmeansData::generate(120, 16, 4, 5, 3);
+    let lstm = lstm::LstmData::generate(6, 4, 5, 2, 4);
+    let ba = adbench::BaData::generate(8, 40, 160, 5);
+    let hand = adbench::HandData::generate(16, 5, 6);
+    let dlstm = adbench::DlstmData::generate(10, 6, 6, 8);
+    let xs = mc::XsData::generate(16, 6, 256, 9);
+    let rs = mc::RsData::generate(6, 4, 3, 128, 10);
+    let workloads: [(&str, Fun, Vec<Value>); 10] = [
+        ("gmm", gmm::objective_ir(), gmm.ir_args()),
+        (
+            "kmeans-dense",
+            kmeans::dense_objective_ir(),
+            dense.ir_args(),
+        ),
+        (
+            "kmeans-sparse",
+            kmeans::sparse_objective_ir(),
+            sparse.ir_args(),
+        ),
+        ("lstm", lstm::objective_ir(lstm.h, lstm.bs), lstm.ir_args()),
+        ("ba", adbench::ba_objective_ir(), ba.ir_args()),
+        (
+            "hand-simple",
+            adbench::hand_objective_ir(false),
+            hand.ir_args(false),
+        ),
+        (
+            "hand-complicated",
+            adbench::hand_objective_ir(true),
+            hand.ir_args(true),
+        ),
+        (
+            "d-lstm",
+            adbench::dlstm_objective_ir(dlstm.h),
+            dlstm.ir_args(),
+        ),
+        ("xsbench", mc::xsbench_ir(xs.g), xs.ir_args()),
+        ("rsbench", mc::rsbench_ir(4, 3), rs.ir_args()),
+    ];
+    let vm_seq = Engine::by_name("vm-seq").unwrap();
+    let vm_par = Engine::with_backend(Box::new(Vm::with_config(ExecConfig {
+        parallel: true,
+        num_threads: 4,
+        parallel_threshold: 2,
+    })));
+    for (name, fun, args) in &workloads {
+        let want = vm_seq.compile(fun).unwrap().grad(args).unwrap();
+        let forced = vm_par.compile(fun).unwrap();
+        for repeat in 0..5 {
+            let got = forced.grad(args).unwrap();
+            let err = max_rel_error(&want.flat_grads(), &got.flat_grads());
+            assert!(err < TOL, "{name}, repeat {repeat}: max rel err {err:.3e}");
+        }
+    }
+}
+
 #[test]
 fn hessian_programs_run_identically_on_both_backends() {
     // hvp (jvp ∘ vjp): the nested-AD output (accumulators inside

@@ -314,6 +314,94 @@ fn irregular_rows_are_a_runtime_error_on_every_backend_and_path() {
     }
 }
 
+/// An `upd_acc` whose value is not the extent its index addresses has no
+/// cells to go to: a runtime error — never a row spilling into the next
+/// one, or a prefix of one — on every backend, from the generic `upd_acc`
+/// (the body of a `withacc`) and from the tape's whole-row adds (with one
+/// index and with none) alike, in debug and release builds.
+#[test]
+fn upd_acc_of_the_wrong_extent_is_a_runtime_error_on_every_backend_and_path() {
+    use futhark_ad_repro::firvm::{compile, KernelForm};
+    // `acc[i] += row` for every `i` of `is`, from a `map` (a tape) or, for
+    // `i = 0` alone, straight from the `withacc` body (generic bytecode).
+    let indexed = |name: &str, in_map: bool| {
+        let params = [Type::arr_f64(2), Type::arr_i64(1), Type::arr_f64(1)];
+        Builder::new().build_fun(name, &params, |b, ps| {
+            let out = b.with_acc(&[ps[0]], |b, accs| {
+                if !in_map {
+                    return vec![b.upd_acc(accs[0], &[Atom::i64(0)], ps[2].into()).into()];
+                }
+                let acc_ty = b.ty_of(accs[0]);
+                let acc = b.map1(acc_ty, &[ps[1], accs[0]], |b, es| {
+                    // `len row` first: the tape knows `row` as an array.
+                    let n = b.len(ps[2]);
+                    let zero = b.isub(n, n);
+                    let at = b.iadd(es[0].into(), zero);
+                    vec![b.upd_acc(es[1], &[at], ps[2].into()).into()]
+                });
+                vec![acc.into()]
+            });
+            vec![out[0].into()]
+        })
+    };
+    // `acc += row`, the whole accumulator at once.
+    let params = [Type::arr_f64(1), Type::arr_i64(1), Type::arr_f64(1)];
+    let whole = Builder::new().build_fun("whole", &params, |b, ps| {
+        let out = b.with_acc(&[ps[0]], |b, accs| {
+            let acc_ty = b.ty_of(accs[0]);
+            let acc = b.map1(acc_ty, &[ps[1], accs[0]], |b, es| {
+                let n = b.len(ps[2]);
+                let acc = b.upd_acc(es[1], &[], ps[2].into());
+                // Keep `n` alive: one more scalar add at `acc[n - n]`.
+                let zero = b.isub(n, n);
+                vec![b.upd_acc(acc, &[zero], Atom::f64(0.0)).into()]
+            });
+            vec![acc.into()]
+        });
+        vec![out[0].into()]
+    });
+    let (generic, tape) = (indexed("generic", false), indexed("tape", true));
+    let forms = |fun: &Fun| {
+        check_fun(fun).unwrap();
+        compile(fun).tape_report()
+    };
+    assert!(forms(&generic).iter().all(|k| *k != KernelForm::Tape));
+    assert_eq!(forms(&tape)[0], KernelForm::Tape);
+    assert_eq!(forms(&whole)[0], KernelForm::Tape);
+
+    for name in ["interp-seq", "vm-seq", "vm"] {
+        let engine = Engine::by_name(name)
+            .unwrap()
+            .with_pipeline(PassPipeline::none());
+        for (fun, init) in [
+            (&generic, mat(&[2, 2], |_| 0.0)),
+            (&tape, mat(&[2, 2], |_| 0.0)),
+            (&whole, mat(&[2], |_| 0.0)),
+        ] {
+            let f = engine.compile(fun).unwrap();
+            for len in [1usize, 2, 3, 5] {
+                let what = format!("{name}, {}, {len} elements", fun.name);
+                let is = Value::from(vec![0i64]);
+                let tapes = || engine.cache_stats().tier.map_or(0, |t| t.jit_hits);
+                let before = tapes();
+                let r = f.call(&[init.clone(), is, mat(&[len], |_| 1.0)]);
+                if len == 2 {
+                    let out = r.unwrap_or_else(|e| panic!("{what}: {e:?}"));
+                    assert_eq!(out[0].as_arr().f64s()[..2], [1.0, 1.0], "{what}");
+                    assert!(out[0].as_arr().f64s()[2..].iter().all(|x| *x == 0.0));
+                    // The `map` ran as a tape wherever there is one to run.
+                    let ran_as_tape = name != "interp-seq" && fun.name != "generic";
+                    assert_eq!(tapes() - before, ran_as_tape as usize, "{what}");
+                    continue;
+                }
+                let want = format!("upd_acc: value has {len} elements, the addressed slice has 2");
+                let message = runtime_error(&what, r);
+                assert!(message.contains(&want), "{what}: {message}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Where it must not fire
 // ---------------------------------------------------------------------

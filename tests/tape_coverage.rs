@@ -16,12 +16,15 @@ use futhark_ad_repro::firvm::{compile, Fallback, KernelForm};
 use futhark_ad_repro::PassPipeline;
 use workloads::{adbench, gmm, kmeans, lstm, mc};
 
-/// `(tapes, kernels)` of `fun` under the standard pipeline, every generic
+/// `(tapes, kernels, serial tapes)` of `fun` under the standard pipeline
+/// — a serial tape runs one element at a time, the others in blocks as
+/// wide as the stream, so the last number says how much of the program
+/// can run wide — every generic
 /// kernel's reason checked against the kernel's own body — the report has
 /// to explain itself: `NestedSoac` names a `scan`/`hist`/`scatter`/
 /// `withacc` in the body, `InnerKernel` an inner `map`/`reduce`/`redomap`
 /// over a kernel that is itself generic.
-fn coverage(what: &str, fun: &Fun, reasons: &mut BTreeMap<String, usize>) -> (usize, usize) {
+fn coverage(what: &str, fun: &Fun, reasons: &mut BTreeMap<String, usize>) -> (usize, usize, usize) {
     let prog = compile(&PassPipeline::standard().apply(fun));
     let report = prog.tape_report();
     assert_eq!(report.len(), prog.kernels.len(), "{what}");
@@ -64,7 +67,8 @@ fn coverage(what: &str, fun: &Fun, reasons: &mut BTreeMap<String, usize>) -> (us
     }
     let tapes = report.iter().filter(|f| **f == KernelForm::Tape).count();
     assert_eq!(tapes, prog.num_tapes(), "{what}");
-    (tapes, report.len())
+    assert!(prog.num_serial_tapes() <= tapes, "{what}");
+    (tapes, report.len(), prog.num_serial_tapes())
 }
 
 #[test]
@@ -115,7 +119,10 @@ fn workloads_keep_their_tape_coverage() {
     for (name, fun, primal_floor, vjp_floor) in &table {
         let primal = coverage(name, fun, &mut reasons);
         let vjp = coverage(&format!("vjp({name})"), &futhark_ad::vjp(fun), &mut reasons);
-        measured.push(format!("{name}: {primal:?} {vjp:?}"));
+        measured.push(format!(
+            "{name}: {}/{} tapes ({} serial), vjp {}/{} ({} serial)",
+            primal.0, primal.1, primal.2, vjp.0, vjp.1, vjp.2
+        ));
         for (what, got, floor) in [("primal", primal, primal_floor), ("vjp", vjp, vjp_floor)] {
             // Compared as shares, so that a pass which splits or merges
             // kernels moves the floor with it.
