@@ -97,7 +97,8 @@ impl Pass {
 pub struct PipelineStats {
     /// Every pass application, in order.
     pub runs: Vec<PassRun>,
-    /// Fixpoint iterations executed (0 for the empty pipeline).
+    /// Rounds started (0 for the empty pipeline); the last one may stop
+    /// part-way, once every pass has seen the program unchanged.
     pub iterations: usize,
     /// Statements (all nesting depths) before optimization.
     pub stms_before: usize,
@@ -252,6 +253,13 @@ impl PassPipeline {
     }
 
     /// Apply the pipeline, reporting per-pass statistics.
+    ///
+    /// The passes run in order, round after round, and stop as soon as the
+    /// last `passes.len()` runs made no rewrite: every pass has then seen
+    /// the current program and left it unchanged, so it is a fixed point
+    /// and the rest of the round would change nothing. That is often in
+    /// the middle of a round; [`PipelineStats::iterations`] counts the
+    /// rounds started, at most `max_iterations`.
     pub fn apply_with_stats<'f>(&self, fun: &'f Fun) -> (Cow<'f, Fun>, PipelineStats) {
         let stms_before = fir_opt::count_stms(fun);
         let mut stats = PipelineStats {
@@ -264,19 +272,19 @@ impl PassPipeline {
             return (Cow::Borrowed(fun), stats);
         }
         let mut cur = fun.clone();
-        for _ in 0..self.max_iterations {
+        let mut idle = 0;
+        'rounds: for _ in 0..self.max_iterations {
             stats.iterations += 1;
-            let mut changed = false;
             for p in &self.passes {
                 let _span = fir_trace::span("opt", p.name());
                 let (next, run) = p.apply_counted(&cur);
                 recheck(p, &next);
-                changed |= run.rewrites > 0;
+                idle = if run.rewrites > 0 { 0 } else { idle + 1 };
                 stats.runs.push(run);
                 cur = next;
-            }
-            if !changed {
-                break;
+                if idle == self.passes.len() {
+                    break 'rounds;
+                }
             }
         }
         stats.stms_after = fir_opt::count_stms(&cur);
@@ -401,5 +409,95 @@ mod tests {
         assert_eq!(stats.iterations, 1);
         assert_eq!(stats.rewrites_of("dce"), 1);
         assert_eq!(stats.stms_removed(), 1);
+    }
+
+    /// GMM's nest (per point, per component, per coordinate) with
+    /// `exp (neg ls)` and `Σ ls` inside it.
+    fn gmm_nest() -> Fun {
+        let mut b = Builder::new();
+        let m2 = Type::arr_f64(2);
+        b.build_fun("gmm_nest", &[m2, m2, m2], |b, ps| {
+            let (means, log_sigmas) = (ps[1], ps[2]);
+            let lls = b.map1(Type::arr_f64(1), &[ps[0]], |b, xrow| {
+                let x = xrow[0];
+                let comps = b.map1(Type::arr_f64(1), &[means, log_sigmas], |b, es| {
+                    let terms = b.map1(Type::arr_f64(1), &[x, es[0], es[1]], |b, ts| {
+                        let diff = b.fsub(ts[0].into(), ts[1].into());
+                        let nls = b.fneg(ts[2].into());
+                        let z = b.fexp(nls);
+                        let z = b.fmul(diff, z);
+                        vec![b.fmul(z, z)]
+                    });
+                    let quad = b.sum(terms);
+                    let slog = b.sum(es[1]);
+                    vec![b.fsub(quad.into(), slog.into())]
+                });
+                vec![Atom::Var(b.sum(comps))]
+            });
+            vec![b.sum(lls).into()]
+        })
+    }
+
+    #[test]
+    fn the_fixed_point_stops_once_every_pass_has_seen_the_program_unchanged() {
+        let p = PassPipeline::standard();
+        let n = p.passes().len();
+        let mut mid_round = 0;
+        for f in [
+            with_dead_code(),
+            fusable(),
+            gmm_nest(),
+            futhark_ad::vjp(&gmm_nest()),
+        ] {
+            let (out, stats) = p.apply_with_stats(&f);
+            let runs = &stats.runs;
+            // It stops after exactly `n` idle runs, the first run after the
+            // last rewrite, and counts the rounds it started.
+            assert!(runs[runs.len() - n..].iter().all(|r| r.rewrites == 0));
+            assert!(runs[runs.len() - n - 1].rewrites > 0, "{}", f.name);
+            assert_eq!(stats.iterations, runs.len().div_ceil(n));
+            mid_round += usize::from(runs.len() % n != 0);
+            // What it returns is a fixed point: a full round changes nothing.
+            let (again, more) = PassPipeline::new(p.passes().to_vec()).apply_with_stats(&out);
+            assert_eq!(more.rewrites(), 0, "{}", f.name);
+            assert_eq!(again.as_ref(), out.as_ref());
+        }
+        assert!(
+            mid_round > 0,
+            "some pipeline stops in the middle of a round"
+        );
+    }
+
+    #[test]
+    fn extraction_is_bitwise_on_both_backends_with_and_without_the_pipeline() {
+        use crate::Engine;
+        use interp::{Array, Value};
+        let mat = |rows: usize, cols: usize, seed: f64| {
+            let data = (0..rows * cols).map(|i| ((i as f64 + seed) * 0.37).sin());
+            Value::Arr(Array::from_f64(vec![rows, cols], data.collect()))
+        };
+        let f = gmm_nest();
+        let engines: Vec<Engine> = ["interp-seq", "vm-seq"]
+            .iter()
+            .flat_map(|b| {
+                [PassPipeline::none(), PassPipeline::standard()]
+                    .map(|p| Engine::by_name(b).unwrap().with_pipeline(p))
+            })
+            .collect();
+        for (n, d, k) in [(500, 32, 25), (4, 2, 2), (16, 4, 3), (7, 3, 4), (0, 2, 2)] {
+            let args = [mat(n, d, 0.0), mat(k, d, 1.0), mat(k, d, 2.0)];
+            // The interpreter sits out the benchmark's shape: too slow for
+            // a debug build.
+            let skip = if n == 500 { 2 } else { 0 };
+            let outs: Vec<String> = engines[skip..]
+                .iter()
+                .map(|e| {
+                    let cf = e.compile(&f).unwrap();
+                    let g = cf.grad(&args).unwrap();
+                    format!("{:?} {:?}", cf.call(&args).unwrap(), g.flat_grads())
+                })
+                .collect();
+            assert!(outs.iter().all(|o| *o == outs[0]), "({n}, {d}, {k})");
+        }
     }
 }

@@ -35,7 +35,7 @@ use firvm::{Kernel, Program};
 /// The on-disk format version. Bump on any change to the byte layout;
 /// decoders reject every version but their own (the store then recompiles
 /// and overwrites).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The four magic bytes opening every framed document.
 pub const MAGIC: [u8; 4] = *b"FIRC";

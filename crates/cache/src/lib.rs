@@ -14,8 +14,9 @@
 //!   it.
 //! - `store`: a directory of atomically-written entries keyed by
 //!   `(structural fingerprint, transform stack, pipeline, backend)`. Any
-//!   mismatch — including a format-version bump — falls back to a
-//!   recompile that overwrites the stale entry.
+//!   mismatch — including a format-version bump or an entry another
+//!   compiler revision wrote — falls back to a recompile that overwrites
+//!   the stale entry.
 //!
 //! The engine integration (consulting the store before `prepare`,
 //! writing back after, warmup) lives in `fir-api`/`fir-serve`; this crate
@@ -29,4 +30,6 @@ pub use codec::{
     decode_fun, decode_program, encode_fun, encode_program, fnv1a, validate_program, CacheError,
     FORMAT_VERSION, MAGIC,
 };
-pub use store::{decode_entry, encode_entry, CachedEntry, PersistentStats, Store, StoreKey};
+pub use store::{
+    decode_entry, encode_entry, CachedEntry, PersistentStats, Store, StoreKey, COMPILER_REVISION,
+};

@@ -9,6 +9,12 @@
 //! finds the old file under the same name, fails its version check, and
 //! recompiles **over** the stale entry instead of leaking it forever.
 //!
+//! Each entry also records [`COMPILER_REVISION`], a hash of the sources
+//! of the IR, AD, the optimizer and the bytecode compiler taken at build
+//! time. The pipeline key names the passes, not what they emit, so a
+//! build whose compiler changed treats an entry written by another build
+//! like a stale format version: an invalidation, then a recompile over it.
+//!
 //! Writes are atomic: the entry is written to a unique temp file in the
 //! cache directory and `rename`d into place, so concurrent servers
 //! sharing one cache directory can never observe a torn write — a reader
@@ -33,6 +39,10 @@ use firvm::Program;
 use crate::codec::{
     emit_fun, emit_program, finish, fnv1a, open_frame, read_fun, read_program, CacheError, Writer,
 };
+
+/// The revision of the compiler that wrote an entry: a hash of the
+/// sources of `fir`, `core`, `fir-opt` and `firvm` (see `build.rs`).
+pub const COMPILER_REVISION: &str = env!("FIR_COMPILER_REVISION");
 
 /// The identity of one cache entry. Two compilations share an entry
 /// exactly when every field matches (the format version is checked
@@ -203,12 +213,17 @@ impl Store {
 /// Encode an entry (with its key echoed into the payload) as one framed
 /// document.
 pub fn encode_entry(key: &StoreKey<'_>, entry: &CachedEntry) -> Vec<u8> {
+    encode_entry_at(key, entry, COMPILER_REVISION)
+}
+
+fn encode_entry_at(key: &StoreKey<'_>, entry: &CachedEntry, revision: &str) -> Vec<u8> {
     let mut w = Writer::default();
     w.u64(key.fingerprint.0);
     w.u64(key.fingerprint.1);
     w.str(key.transforms);
     w.str(key.pipeline);
     w.str(key.backend);
+    w.str(revision);
     let source_fp = firvm::fingerprint_pair(&entry.source);
     w.u64(source_fp.0);
     w.u64(source_fp.1);
@@ -225,7 +240,7 @@ pub fn encode_entry(key: &StoreKey<'_>, entry: &CachedEntry) -> Vec<u8> {
 }
 
 /// Decode an entry, verifying the frame (magic, version, checksum), the
-/// key echo against `key`, and the stored source fingerprint against a
+/// key echo against `key`, the compiler revision, and the stored source fingerprint against a
 /// recomputed one. The decoded program is structurally validated by the
 /// codec, so anything this returns is safe to hand to the VM.
 pub fn decode_entry(bytes: &[u8], key: &StoreKey<'_>) -> Result<CachedEntry, CacheError> {
@@ -234,6 +249,11 @@ pub fn decode_entry(bytes: &[u8], key: &StoreKey<'_>) -> Result<CachedEntry, Cac
     let echo_transforms = r.str()?;
     let echo_pipeline = r.str()?;
     let echo_backend = r.str()?;
+    if r.str()? != COMPILER_REVISION {
+        return Err(CacheError::Malformed {
+            what: "entry was written by another compiler revision".to_string(),
+        });
+    }
     if echo_fp != key.fingerprint
         || echo_transforms != key.transforms
         || echo_pipeline != key.pipeline
@@ -387,6 +407,30 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(store.load(&key).is_none());
         assert_eq!(store.stats().invalidations, 2);
+    }
+
+    #[test]
+    fn entries_of_another_compiler_revision_invalidate_then_hit() {
+        let store = tmp_store("revision");
+        let f = square();
+        let key = StoreKey {
+            fingerprint: firvm::fingerprint_pair(&f),
+            transforms: "",
+            pipeline: "std@8",
+            backend: "firvm",
+        };
+        // A directory another build wrote: same key, same format version.
+        let stale = encode_entry_at(&key, &entry_for(&f), "another revision");
+        fs::write(store.dir().join(key.file_name()), stale).unwrap();
+        assert!(
+            store.load(&key).is_none(),
+            "another revision is never served"
+        );
+        assert_eq!(store.stats().invalidations, 1);
+        store.store(&key, &entry_for(&f)).unwrap();
+        assert!(store.load(&key).is_some(), "the recompiled entry hits");
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations), (1, 0, 1));
     }
 
     #[test]

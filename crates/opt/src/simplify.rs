@@ -12,7 +12,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use fir::free_vars::FreeVars;
-use fir::ir::{Atom, BinOp, Body, Const, Exp, Fun, Lambda, Stm, UnOp, VarId};
+use fir::ir::{Atom, BinOp, Body, Const, Exp, Fun, Lambda, Param, Stm, UnOp, VarId};
 
 /// Apply the full simplification pipeline until a fixed point (bounded by a
 /// small iteration limit).
@@ -72,11 +72,15 @@ fn dce_body(body: &Body, removed: &mut usize) -> Body {
             *removed += 1;
             continue;
         }
-        let exp = dce_exp(&stm.exp, removed);
+        let trimmed = dce_outputs(stm, &live, removed);
+        let (pat, exp) = match &trimmed {
+            Some((pat, exp)) => (pat.clone(), dce_exp(exp, removed)),
+            None => (stm.pat.clone(), dce_exp(&stm.exp, removed)),
+        };
         for v in exp.free_vars() {
             live.insert(v);
         }
-        kept.push(Stm::new(stm.pat.clone(), exp));
+        kept.push(Stm::new(pat, exp));
     }
     kept.reverse();
     Body::new(kept, body.result.clone())
@@ -88,6 +92,73 @@ fn dce_lambda(lam: &Lambda, removed: &mut usize) -> Lambda {
         body: dce_body(&lam.body, removed),
         ret: lam.ret.clone(),
     }
+}
+
+/// Drop the dead array results of a live `map` from its pattern and its
+/// lambda, so the work behind them dies too. Accumulators stay.
+fn dce_outputs(
+    stm: &Stm,
+    live: &BTreeSet<VarId>,
+    removed: &mut usize,
+) -> Option<(Vec<Param>, Exp)> {
+    let keep = |p: &Param| p.ty.is_acc() || live.contains(&p.var);
+    match &stm.exp {
+        Exp::Map { lam, args } if !stm.pat.iter().all(keep) => {
+            *removed += stm.pat.iter().filter(|p| !keep(p)).count();
+            let kept = |i: &usize| keep(&stm.pat[*i]);
+            let idx: Vec<usize> = (0..stm.pat.len()).filter(kept).collect();
+            let lam = Lambda {
+                params: lam.params.clone(),
+                body: Body::new(
+                    lam.body.stms.clone(),
+                    idx.iter().map(|i| lam.body.result[*i]).collect(),
+                ),
+                ret: idx.iter().map(|i| lam.ret[*i]).collect(),
+            };
+            let pat = idx.iter().map(|i| stm.pat[*i]).collect();
+            Some((
+                pat,
+                Exp::Map {
+                    lam,
+                    args: args.clone(),
+                },
+            ))
+        }
+        _ => None,
+    }
+}
+
+/// Drop the stream arguments of a `map` lambda that its body no longer
+/// reads, with their parameters. Accumulators stay, and so does one
+/// array, so the extent is still defined.
+fn dce_streams(lam: Lambda, args: &[VarId], removed: &mut usize) -> (Lambda, Vec<VarId>) {
+    let read = lam.body.free_vars();
+    let mut keep: Vec<bool> = lam
+        .params
+        .iter()
+        .map(|p| p.ty.is_acc() || read.contains(&p.var))
+        .collect();
+    if !lam
+        .params
+        .iter()
+        .zip(&keep)
+        .any(|(p, k)| *k && !p.ty.is_acc())
+    {
+        match lam.params.iter().position(|p| !p.ty.is_acc()) {
+            Some(first) => keep[first] = true,
+            None => return (lam, args.to_vec()),
+        }
+    }
+    *removed += keep.iter().filter(|k| !**k).count();
+    let params = lam.params.iter().zip(&keep).filter(|(_, k)| **k);
+    let args = args.iter().zip(&keep).filter(|(_, k)| **k);
+    (
+        Lambda {
+            params: params.map(|(p, _)| *p).collect(),
+            ..lam
+        },
+        args.map(|(a, _)| *a).collect(),
+    )
 }
 
 fn dce_exp(e: &Exp, removed: &mut usize) -> Exp {
@@ -112,10 +183,10 @@ fn dce_exp(e: &Exp, removed: &mut usize) -> Exp {
             count: *count,
             body: dce_body(body, removed),
         },
-        Exp::Map { lam, args } => Exp::Map {
-            lam: dce_lambda(lam, removed),
-            args: args.clone(),
-        },
+        Exp::Map { lam, args } => {
+            let (lam, args) = dce_streams(dce_lambda(lam, removed), args, removed);
+            Exp::Map { lam, args }
+        }
         Exp::Reduce { lam, neutral, args } => Exp::Reduce {
             lam: dce_lambda(lam, removed),
             neutral: neutral.clone(),
@@ -131,12 +202,15 @@ fn dce_exp(e: &Exp, removed: &mut usize) -> Exp {
             map_lam,
             neutral,
             args,
-        } => Exp::Redomap {
-            red_lam: dce_lambda(red_lam, removed),
-            map_lam: dce_lambda(map_lam, removed),
-            neutral: neutral.clone(),
-            args: args.clone(),
-        },
+        } => {
+            let (map_lam, args) = dce_streams(dce_lambda(map_lam, removed), args, removed);
+            Exp::Redomap {
+                red_lam: dce_lambda(red_lam, removed),
+                map_lam,
+                neutral: neutral.clone(),
+                args,
+            }
+        }
         Exp::WithAcc { arrs, lam } => Exp::WithAcc {
             arrs: arrs.clone(),
             lam: dce_lambda(lam, removed),

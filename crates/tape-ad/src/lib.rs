@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use fir::ir::{Atom, BinOp, Body, Const, Exp, Fun, Lambda, ReduceOp, Stm, UnOp, VarId};
+use fir::types::{ScalarType, Type};
 use interp::Value;
 
 /// One recorded scalar operation: up to two parents with their local
@@ -261,8 +262,11 @@ impl TapeInterp<'_> {
             Exp::Reverse(v) => {
                 let a = self.env[v].clone();
                 let n = a.outer_len();
+                if n == 0 {
+                    return vec![a];
+                }
                 let parts: Vec<TVal> = (0..n).rev().map(|i| a.index_outer(i)).collect();
-                vec![self.stack(&parts)]
+                vec![self.stack(&parts, Type::F64)]
             }
             Exp::Copy(v) => vec![self.env[v].clone()],
             Exp::If {
@@ -305,7 +309,10 @@ impl TapeInterp<'_> {
                         c.push(o);
                     }
                 }
-                cols.iter().map(|c| self.stack(c)).collect()
+                cols.iter()
+                    .zip(&lam.ret)
+                    .map(|(c, t)| self.stack(c, *t))
+                    .collect()
             }
             Exp::Reduce { lam, neutral, args } => {
                 let arrs: Vec<TVal> = args.iter().map(|a| self.env[a].clone()).collect();
@@ -350,7 +357,10 @@ impl TapeInterp<'_> {
                         c.push(o.clone());
                     }
                 }
-                cols.iter().map(|c| self.stack(c)).collect()
+                cols.iter()
+                    .zip(&lam.ret)
+                    .map(|(c, t)| self.stack(c, *t))
+                    .collect()
             }
             Exp::Hist {
                 op,
@@ -402,9 +412,18 @@ impl TapeInterp<'_> {
         }
     }
 
-    fn stack(&self, parts: &[TVal]) -> TVal {
-        assert!(!parts.is_empty(), "stack of zero values");
-        match &parts[0] {
+    /// Stack equally-shaped values of type `elem` into one array. No
+    /// values give an empty array of `elem`'s element type with shape
+    /// `[0]`, as the interpreter returns it.
+    fn stack(&self, parts: &[TVal], elem: Type) -> TVal {
+        let Some(first) = parts.first() else {
+            return match elem.elem() {
+                ScalarType::F64 => TVal::ArrF64(Vec::new(), vec![0]),
+                ScalarType::I64 => TVal::ArrI64(Vec::new(), vec![0]),
+                ScalarType::Bool => TVal::ArrBool(Vec::new(), vec![0]),
+            };
+        };
+        match first {
             TVal::F64(_) => TVal::ArrF64(
                 parts.iter().map(|p| p.as_f64()).collect(),
                 vec![parts.len()],

@@ -321,15 +321,10 @@ fn random_programs_vmap_agrees_with_per_example_execution_bitwise() {
     assert!(vmapped > 0, "generator produced no vmappable programs");
 }
 
-/// All ten workload instances (the paper's nine benchmarks, with HAND in
-/// both its simple and complicated variants), bitwise across
-/// optimized/memplanned/unoptimized × interp/firvm (sequential configurations, where
-/// float reassociation cannot occur) — the acceptance bar for every pass
-/// in the pipeline.
-#[test]
-fn all_workloads_agree_bitwise_across_pipelines_and_backends() {
+/// The ten workloads at test sizes.
+fn workloads() -> Vec<(&'static str, Fun, Vec<Value>)> {
     use workloads::{adbench, gmm, kmeans, lstm, mc};
-    let workloads: Vec<(&str, Fun, Vec<Value>)> = vec![
+    vec![
         {
             let d = gmm::GmmData::generate(25, 4, 4, 21);
             ("gmm", gmm::objective_ir(), d.ir_args())
@@ -378,7 +373,17 @@ fn all_workloads_agree_bitwise_across_pipelines_and_backends() {
             let d = mc::RsData::generate(5, 4, 3, 96, 30);
             ("rsbench", mc::rsbench_ir(4, 3), d.ir_args())
         },
-    ];
+    ]
+}
+
+/// All ten workload instances (the paper's nine benchmarks, with HAND in
+/// both its simple and complicated variants), bitwise across
+/// optimized/memplanned/unoptimized × interp/firvm (sequential configurations, where
+/// float reassociation cannot occur) — the acceptance bar for every pass
+/// in the pipeline.
+#[test]
+fn all_workloads_agree_bitwise_across_pipelines_and_backends() {
+    let workloads = workloads();
     let engines = engines();
     for (name, fun, args) in &workloads {
         let reference = engines[0].1.compile(fun).unwrap().call(args).unwrap();
@@ -442,4 +447,71 @@ fn gmm_d5_gradient_shrinks_at_least_20_percent() {
     for (x, y) in g_opt.flat_grads().iter().zip(&g_ref.flat_grads()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
+}
+
+/// `map` statements in `fun`, at any depth.
+fn maps(fun: &Fun) -> usize {
+    fn body(b: &fir::ir::Body) -> usize {
+        use fir::ir::Exp;
+        b.stms
+            .iter()
+            .map(|s| {
+                usize::from(matches!(s.exp, Exp::Map { .. }))
+                    + match &s.exp {
+                        Exp::If {
+                            then_br, else_br, ..
+                        } => body(then_br) + body(else_br),
+                        Exp::Loop { body: b, .. } => body(b),
+                        Exp::Map { lam, .. }
+                        | Exp::Reduce { lam, .. }
+                        | Exp::Scan { lam, .. }
+                        | Exp::WithAcc { lam, .. } => body(&lam.body),
+                        Exp::Redomap {
+                            red_lam, map_lam, ..
+                        } => body(&red_lam.body) + body(&map_lam.body),
+                        _ => 0,
+                    }
+            })
+            .sum()
+    }
+    body(&fun.body)
+}
+
+/// The standard pipeline stops at its fixed point: applied to its own
+/// output it makes no rewrite and returns the same program. No workload,
+/// primal or vjp, needs the round cap. The fuzz corpus is the one the
+/// bitwise test above runs, and the stream-invariant extraction (a
+/// `hoist` rewrite that adds a `map`) must fire on some of it.
+#[test]
+fn the_standard_pipeline_is_a_fixed_point_of_its_own_output() {
+    let pipeline = PassPipeline::standard();
+    let settle = |name: &str, fun: &Fun| {
+        let (once, stats) = pipeline.apply_with_stats(fun);
+        let (twice, again) = pipeline.apply_with_stats(&once);
+        assert_eq!(again.rewrites(), 0, "{name}: {:?}", again.runs);
+        // Compared as printed: a `NaN` constant is never `==` itself.
+        assert_eq!(format!("{twice:?}"), format!("{once:?}"), "{name}");
+        stats.iterations
+    };
+    for (name, fun, _) in workloads() {
+        for (what, f) in [("primal", fun.clone()), ("vjp", futhark_ad::vjp(&fun))] {
+            let rounds = settle(&format!("{name} {what}"), &f);
+            assert!(
+                rounds < pipeline.max_iterations(),
+                "{name} {what}: {rounds} rounds reach the cap"
+            );
+        }
+    }
+    let cases = cases_from_env(256);
+    let mut rng = TestRng::deterministic();
+    let mut extracted = 0;
+    for case in 0..cases {
+        let name = format!("fuzz{case}");
+        let (fun, _) = arbitrary_fun(&name, &mut rng, &GenConfig::default());
+        settle(&name, &fun);
+        let plain = fir_opt::copy_propagation(&fun);
+        extracted += usize::from(maps(&fir_opt::hoist_invariants(&plain)) > maps(&plain));
+    }
+    println!("stream-invariant extraction rewrote {extracted} of {cases} fuzz programs");
+    assert!(extracted > 0);
 }

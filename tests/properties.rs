@@ -127,3 +127,45 @@ proptest! {
         }
     }
 }
+
+/// `tape-ad` on programs over empty arrays: one generated smooth program
+/// in eight or nine has a zero extent somewhere, and an empty `map` or
+/// `scan` result used to panic ("stack of zero values"). It must return,
+/// typed like the interpreter's empty result, and agree with `vjp`.
+#[test]
+fn tape_ad_differentiates_zero_extent_programs_like_vjp() {
+    use fir_proptest::{arbitrary_fun, GenConfig};
+    use proptest::TestRng;
+    let engine = Engine::by_name("vm-seq").unwrap();
+    let mut rng = TestRng::deterministic();
+    let config = GenConfig {
+        max_stms: 8,
+        ..GenConfig::smooth()
+    };
+    let mut empty = 0;
+    for case in 0..400 {
+        let (fun, args) = arbitrary_fun(&format!("zero{case}"), &mut rng, &config);
+        let zero_extent = args
+            .iter()
+            .any(|a| matches!(a, Value::Arr(arr) if arr.shape.contains(&0)));
+        if !zero_extent {
+            continue;
+        }
+        empty += 1;
+        let tape = tape_ad::gradient(&fun, &args);
+        let g = engine.compile(&fun).unwrap().grad(&args).unwrap();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
+        assert!(
+            close(g.scalar(), tape.value),
+            "zero{case}: {} vs {}",
+            g.scalar(),
+            tape.value
+        );
+        let vjp = g.flat_grads();
+        assert_eq!(vjp.len(), tape.gradient.len(), "zero{case}");
+        for (i, (a, b)) in vjp.iter().zip(&tape.gradient).enumerate() {
+            assert!(close(*a, *b), "zero{case}: grad[{i}] {a} vs {b}");
+        }
+    }
+    assert!(empty > 20, "only {empty} zero-extent programs in 400");
+}

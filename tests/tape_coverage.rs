@@ -81,9 +81,13 @@ fn workloads_keep_their_tape_coverage() {
     // What is left: `if`/`loop` bodies (sparse k-means, the Monte-Carlo
     // lookups, BA), `i64` fold state (the argmax operators), `withacc`
     // bodies and the per-point kernels around them, `iota`/`update`.
+    // GMM, LSTM and the two HAND floors were raised when stream-invariant
+    // extraction added tape `map`s over parameter rows and DCE dropped dead
+    // `map` outputs and stream arguments (LSTM's vjp lost 28 kernels, 8 of
+    // them generic).
     type Floor = (usize, usize);
     let table: Vec<(&str, Fun, Floor, Floor)> = vec![
-        ("gmm", gmm::objective_ir(), (12, 12), (31, 36)),
+        ("gmm", gmm::objective_ir(), (14, 14), (34, 39)),
         (
             "kmeans-dense",
             kmeans::dense_objective_ir(),
@@ -96,19 +100,19 @@ fn workloads_keep_their_tape_coverage() {
             (6, 8),
             (20, 25),
         ),
-        ("lstm", lstm::objective_ir(4, 2), (20, 24), (148, 203)),
+        ("lstm", lstm::objective_ir(4, 2), (20, 24), (128, 175)),
         ("ba", adbench::ba_objective_ir(), (0, 2), (7, 11)),
         (
             "hand-simple",
             adbench::hand_objective_ir(false),
-            (6, 6),
-            (17, 19),
+            (7, 7),
+            (19, 21),
         ),
         (
             "hand-complicated",
             adbench::hand_objective_ir(true),
-            (6, 6),
-            (17, 19),
+            (7, 7),
+            (19, 21),
         ),
         ("d-lstm", adbench::dlstm_objective_ir(4), (7, 7), (36, 37)),
         ("xsbench", mc::xsbench_ir(8), (0, 4), (4, 11)),
