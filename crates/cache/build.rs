@@ -6,11 +6,16 @@
 
 use std::path::{Path, PathBuf};
 
+/// A revision that could not read the sources would be a constant, and
+/// entries of every compiler would hit: fail the build instead.
+fn unreadable(path: &Path, e: std::io::Error) -> ! {
+    panic!("cannot hash compiler source {}: {e}", path.display())
+}
+
 fn files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for path in entries.flatten().map(|e| e.path()) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| unreadable(dir, e));
+    for entry in entries {
+        let path = entry.unwrap_or_else(|e| unreadable(dir, e)).path();
         if path.is_dir() {
             files(&path, out);
         } else {
@@ -37,7 +42,7 @@ fn main() {
         for path in paths {
             let rel = path.strip_prefix(&crates).unwrap_or(&path);
             eat(rel.to_string_lossy().as_bytes());
-            eat(&std::fs::read(&path).unwrap_or_default());
+            eat(&std::fs::read(&path).unwrap_or_else(|e| unreadable(&path, e)));
         }
     }
     println!("cargo:rustc-env=FIR_COMPILER_REVISION={h:016x}");

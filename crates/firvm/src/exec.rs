@@ -53,8 +53,9 @@
 //! A dispatch allocates nothing but its outputs: operands are borrowed
 //! from their source, array views and accumulator handles are bound in
 //! stack arrays, and register files and temporaries come from a
-//! [`Scratch`] — one per nest depth — the caller reuses across dispatches;
-//! an inner dispatch has no outputs to allocate. A dispatch from a frame
+//! [`Scratch`] — one per nest depth — the caller reuses across dispatches
+//! (and a thread across runs); an inner dispatch has no outputs to
+//! allocate. A dispatch from a frame
 //! returns `false`, having touched nothing, when a value in the frame is
 //! outside the tape's shape class (the half of the contract bytecode does
 //! not record: ranks and element types); the caller then runs the generic
@@ -708,9 +709,9 @@ fn irregular(i: usize, len: usize, first: usize, first_len: usize) -> ! {
 }
 
 /// The buffers tape dispatches run in, reused from one dispatch to the next
-/// by whoever owns the strand of execution (a `run_program`, or one chunk
-/// of a parallel SOAC): after the first few dispatches nothing here
-/// allocates. One `Scratch` serves one nest depth; the inner SOACs of a
+/// by whoever owns the strand of execution (a `run_program`, which hands
+/// it to the thread's next run, or one chunk of a parallel SOAC): after
+/// the first few dispatches nothing here allocates. One `Scratch` serves one nest depth; the inner SOACs of a
 /// tape running here run in `inner`.
 #[derive(Default)]
 pub(crate) struct Scratch {

@@ -102,11 +102,24 @@ pub fn run_program_counted(
     );
     let _span = fir_trace::span_str("vm", &prog.name);
     let ctx = ExecCtx { prog, cfg };
-    let mut strand = Strand::default();
+    let mut strand = Strand {
+        scratch: SCRATCH.take(),
+        counts: DispatchCounts::default(),
+    };
     let mut regs = new_frame(prog.main.num_regs);
     regs[..args.len()].clone_from_slice(args);
     exec(&ctx, &prog.main, &mut regs, &mut strand);
+    SCRATCH.set(strand.scratch);
     (read_ret(&prog.main, &regs), strand.counts)
+}
+
+thread_local! {
+    /// The scratch of the last `run_program` on this thread, so a warm run
+    /// allocates none of its dispatches' buffers: a run takes it and puts
+    /// it back when it returns (a run nested in another starts empty). It
+    /// is owned, never shared — the strands of parallel chunks make their
+    /// own.
+    static SCRATCH: std::cell::Cell<Scratch> = std::cell::Cell::default();
 }
 
 /// Run `f(lo, hi, strand)` over a chunking of `0..n` (the [`run_chunked`]

@@ -176,14 +176,32 @@ impl Hoist<'_> {
         self.frames.pop().expect("scope frame")
     }
 
-    /// A scope that is not a `map` lambda, with its free variables.
-    fn lambda(&mut self, kind: Kind, lam: &Lambda) -> (Lambda, BTreeSet<VarId>) {
+    /// Rewrite a lambda as a scope of the given kind; also returns its free
+    /// variables. `streams` are the arguments of a `map` lambda (or of the
+    /// map part of a `redomap`) and empty for any other: its stream-
+    /// invariant groups leave as `map`s placed in the enclosing frame, and
+    /// the arrays they compute join `streams`.
+    fn lambda(
+        &mut self,
+        kind: Kind,
+        lam: &Lambda,
+        streams: &mut Vec<VarId>,
+    ) -> (Lambda, BTreeSet<VarId>) {
+        let elems = lam
+            .params
+            .iter()
+            .zip(streams.iter())
+            .filter(|(p, _)| !p.ty.is_acc())
+            .map(|(p, a)| (p.var, BTreeSet::from([*a])))
+            .collect();
         let bound = lam.params.iter().map(|p| p.var).collect();
-        let f = self.scope(kind, bound, BTreeMap::new(), &lam.body);
-        let free = f.free(&lam.body.result);
+        let mut frame = self.scope(kind, bound, elems, &lam.body);
+        let mut params = lam.params.clone();
+        self.extract(&mut frame, &lam.body.result, &mut params, streams);
+        let free = frame.free(&lam.body.result);
         let lam = Lambda {
-            params: lam.params.clone(),
-            body: f.body(&lam.body.result),
+            params,
+            body: frame.body(&lam.body.result),
             ret: lam.ret.clone(),
         };
         (lam, free)
@@ -249,35 +267,6 @@ impl Hoist<'_> {
         self.land(&outer, j - 1, false).or(stay)
     }
 
-    /// Rewrite the lambda of a `map` (or the map part of a `redomap`) over
-    /// `args`, extracting its stream-invariant groups into `map`s placed
-    /// in the enclosing frame; also returns the lambda's free variables.
-    fn map_lambda(
-        &mut self,
-        lam: &Lambda,
-        args: &[VarId],
-    ) -> (Lambda, Vec<VarId>, BTreeSet<VarId>) {
-        let streams = lam
-            .params
-            .iter()
-            .zip(args)
-            .filter(|(p, _)| !p.ty.is_acc())
-            .map(|(p, a)| (p.var, BTreeSet::from([*a])))
-            .collect();
-        let bound = lam.params.iter().map(|p| p.var).collect();
-        let mut frame = self.scope(Kind::Repeats, bound, streams, &lam.body);
-        let mut params = lam.params.clone();
-        let mut args = args.to_vec();
-        self.extract(&mut frame, &lam.body.result, &mut params, &mut args);
-        let free = frame.free(&lam.body.result);
-        let lam = Lambda {
-            params,
-            body: frame.body(&lam.body.result),
-            ret: lam.ret.clone(),
-        };
-        (lam, args, free)
-    }
-
     /// Move the stream-invariant statements of a finished `map` lambda
     /// frame that leave a repeating scope into one `map` per destination,
     /// placed in the enclosing frame; their results become new parameters.
@@ -324,34 +313,24 @@ impl Hoist<'_> {
                 stms.extend(group.into_iter().map(|(_, s)| (None, s)));
                 continue;
             }
-            let mut reads = BTreeSet::new();
-            for (_, (_, free)) in &group {
-                reads.extend(free);
-            }
-            for (_, (s, _)) in &group {
-                for p in &s.pat {
-                    reads.remove(&p.var);
-                }
-            }
-            let mut ren = Renamer::new();
-            let mut q = Vec::new();
-            let mut over = Vec::new();
-            for (p, a) in params.iter().zip(args.iter()) {
-                if reads.remove(&p.var) {
-                    let v = self.builder().fresh(p.ty);
-                    ren.insert(p.var, v);
-                    q.push(Param::new(v, p.ty));
-                    over.push(*a);
-                }
-            }
-            reads.extend(&over);
-            let b = self.builder();
-            let moved: Vec<Stm> = group.iter().map(|(_, (s, _))| ren.stm(b, s)).collect();
-            let renamed: BTreeMap<VarId, VarId> = group
+            let body = Body::new(
+                group.into_iter().map(|(_, (s, _))| s).collect(),
+                outputs.iter().map(|r| r.var.into()).collect(),
+            );
+            let mut reads = body.free_vars();
+            let (q, over): (Vec<Param>, Vec<VarId>) = params
                 .iter()
-                .zip(&moved)
-                .flat_map(|((_, (s, _)), m)| s.pat.iter().zip(&m.pat).map(|(p, n)| (p.var, n.var)))
-                .collect();
+                .zip(args.iter())
+                .filter(|(p, _)| reads.remove(&p.var))
+                .unzip();
+            reads.extend(&over);
+            self.count += body.stms.len();
+            let lam = Lambda {
+                params: q,
+                body,
+                ret: outputs.iter().map(|r| r.ty).collect(),
+            };
+            let lam = Renamer::new().lambda(self.builder(), &lam);
             let at = params
                 .iter()
                 .position(|p| p.ty.is_acc())
@@ -363,15 +342,6 @@ impl Hoist<'_> {
                 params.insert(at + i, *r);
                 args.insert(at + i, arr.var);
             }
-            self.count += group.len();
-            let lam = Lambda {
-                params: q,
-                body: Body::new(
-                    moved,
-                    outputs.iter().map(|r| renamed[&r.var].into()).collect(),
-                ),
-                ret: outputs.iter().map(|r| r.ty).collect(),
-            };
             self.place(Stm::new(pat, Exp::Map { lam, args: over }), reads, outer);
         }
         frame.stms = stms.into_iter().map(|(_, s)| s).collect();
@@ -421,12 +391,13 @@ impl Hoist<'_> {
                 (e, free)
             }
             Exp::Map { lam, args } => {
-                let (lam, args, mut free) = self.map_lambda(lam, args);
+                let mut args = args.clone();
+                let (lam, mut free) = self.lambda(Kind::Repeats, lam, &mut args);
                 free.extend(&args);
                 (Exp::Map { lam, args }, free)
             }
             Exp::Reduce { lam, neutral, args } | Exp::Scan { lam, neutral, args } => {
-                let (lam, mut free) = self.lambda(Kind::Repeats, lam);
+                let (lam, mut free) = self.lambda(Kind::Repeats, lam, &mut Vec::new());
                 free.extend(vars(neutral));
                 free.extend(args);
                 let (neutral, args) = (neutral.clone(), args.clone());
@@ -442,8 +413,9 @@ impl Hoist<'_> {
                 neutral,
                 args,
             } => {
-                let (red_lam, mut free) = self.lambda(Kind::Repeats, red_lam);
-                let (map_lam, args, map_free) = self.map_lambda(map_lam, args);
+                let (red_lam, mut free) = self.lambda(Kind::Repeats, red_lam, &mut Vec::new());
+                let mut args = args.clone();
+                let (map_lam, map_free) = self.lambda(Kind::Repeats, map_lam, &mut args);
                 free.extend(map_free);
                 free.extend(vars(neutral));
                 free.extend(&args);
@@ -456,7 +428,7 @@ impl Hoist<'_> {
                 (e, free)
             }
             Exp::WithAcc { arrs, lam } => {
-                let (lam, mut free) = self.lambda(Kind::WithAcc, lam);
+                let (lam, mut free) = self.lambda(Kind::WithAcc, lam, &mut Vec::new());
                 free.extend(arrs);
                 let e = Exp::WithAcc {
                     arrs: arrs.clone(),

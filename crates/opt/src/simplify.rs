@@ -72,15 +72,11 @@ fn dce_body(body: &Body, removed: &mut usize) -> Body {
             *removed += 1;
             continue;
         }
-        let trimmed = dce_outputs(stm, &live, removed);
-        let (pat, exp) = match &trimmed {
-            Some((pat, exp)) => (pat.clone(), dce_exp(exp, removed)),
-            None => (stm.pat.clone(), dce_exp(&stm.exp, removed)),
-        };
+        let exp = dce_exp(&stm.exp, removed);
         for v in exp.free_vars() {
             live.insert(v);
         }
-        kept.push(Stm::new(pat, exp));
+        kept.push(Stm::new(stm.pat.clone(), exp));
     }
     kept.reverse();
     Body::new(kept, body.result.clone())
@@ -94,71 +90,25 @@ fn dce_lambda(lam: &Lambda, removed: &mut usize) -> Lambda {
     }
 }
 
-/// Drop the dead array results of a live `map` from its pattern and its
-/// lambda, so the work behind them dies too. Accumulators stay.
-fn dce_outputs(
-    stm: &Stm,
-    live: &BTreeSet<VarId>,
-    removed: &mut usize,
-) -> Option<(Vec<Param>, Exp)> {
-    let keep = |p: &Param| p.ty.is_acc() || live.contains(&p.var);
-    match &stm.exp {
-        Exp::Map { lam, args } if !stm.pat.iter().all(keep) => {
-            *removed += stm.pat.iter().filter(|p| !keep(p)).count();
-            let kept = |i: &usize| keep(&stm.pat[*i]);
-            let idx: Vec<usize> = (0..stm.pat.len()).filter(kept).collect();
-            let lam = Lambda {
-                params: lam.params.clone(),
-                body: Body::new(
-                    lam.body.stms.clone(),
-                    idx.iter().map(|i| lam.body.result[*i]).collect(),
-                ),
-                ret: idx.iter().map(|i| lam.ret[*i]).collect(),
-            };
-            let pat = idx.iter().map(|i| stm.pat[*i]).collect();
-            Some((
-                pat,
-                Exp::Map {
-                    lam,
-                    args: args.clone(),
-                },
-            ))
-        }
-        _ => None,
-    }
-}
-
 /// Drop the stream arguments of a `map` lambda that its body no longer
 /// reads, with their parameters. Accumulators stay, and so does one
 /// array, so the extent is still defined.
 fn dce_streams(lam: Lambda, args: &[VarId], removed: &mut usize) -> (Lambda, Vec<VarId>) {
     let read = lam.body.free_vars();
-    let mut keep: Vec<bool> = lam
+    let reads_a_stream = lam
         .params
         .iter()
-        .map(|p| p.ty.is_acc() || read.contains(&p.var))
-        .collect();
-    if !lam
-        .params
-        .iter()
-        .zip(&keep)
-        .any(|(p, k)| *k && !p.ty.is_acc())
-    {
-        match lam.params.iter().position(|p| !p.ty.is_acc()) {
-            Some(first) => keep[first] = true,
-            None => return (lam, args.to_vec()),
-        }
-    }
-    *removed += keep.iter().filter(|k| !**k).count();
-    let params = lam.params.iter().zip(&keep).filter(|(_, k)| **k);
-    let args = args.iter().zip(&keep).filter(|(_, k)| **k);
-    (
-        Lambda {
-            params: params.map(|(p, _)| *p).collect(),
-            ..lam
-        },
-        args.map(|(a, _)| *a).collect(),
-    )
+        .any(|p| !p.ty.is_acc() && read.contains(&p.var));
+    let first = lam.params.iter().position(|p| !p.ty.is_acc());
+    let keep = |i: usize, p: &Param| {
+        p.ty.is_acc() || read.contains(&p.var) || (!reads_a_stream && Some(i) == first)
+    };
+    let (params, args): (Vec<Param>, Vec<VarId>) = (lam.params.iter().zip(args).enumerate())
+        .filter(|(i, (p, _))| keep(*i, p))
+        .map(|(_, (p, a))| (*p, *a))
+        .unzip();
+    *removed += lam.params.len() - params.len();
+    (Lambda { params, ..lam }, args)
 }
 
 fn dce_exp(e: &Exp, removed: &mut usize) -> Exp {
